@@ -24,7 +24,7 @@ from typing import Any, Iterable
 from repro import obs
 from repro.core.explanation import Explanation, ExplanationType
 from repro.core.model import XInsightModel
-from repro.core.xplainer import XPlainerConfig, explain_attribute
+from repro.core.xplainer import XPlainerConfig, check_method, explain_attribute
 from repro.core.xtranslator import Translation, XDASemantics, translate
 from repro.data.query import QueryWorkspace, WhyQuery, candidate_attributes
 from repro.data.table import Table
@@ -296,7 +296,10 @@ class ExplainSession:
         """Answer a Why Query with ranked, typed explanations.
 
         Atomic under the session lock: concurrent callers serialize (see
-        the class docstring's concurrency model)."""
+        the class docstring's concurrency model).  An unknown ``method``
+        raises :class:`~repro.errors.ExplanationError` before any work is
+        done."""
+        check_method(method)
         with self._lock:
             return self._explain_locked(query, method, config)
 

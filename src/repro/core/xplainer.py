@@ -441,6 +441,20 @@ def avg_search(
 # Entry point
 # ---------------------------------------------------------------------------
 
+#: The search methods :func:`explain_attribute` dispatches on.
+SEARCH_METHODS = ("auto", "brute", "sum", "avg")
+
+
+def check_method(method: object) -> str:
+    """Return ``method`` if it names a search method, else raise
+    :class:`ExplanationError` (callers check before doing any work)."""
+    if method not in SEARCH_METHODS:
+        raise ExplanationError(
+            f"unknown search method {method!r}; expected one of "
+            f"{list(SEARCH_METHODS)}"
+        )
+    return method
+
 
 def explain_attribute(
     table: Table,

@@ -9,11 +9,14 @@ and the batched Δ kernels; this package puts a server in front of them:
 * :class:`ModelRegistry` — versioned multi-model artifact registry with
   lazy loading, hot reload and LRU eviction; both wire front-ends route
   through it;
-* :class:`ExplanationServer` / :func:`run_server` — JSON-lines TCP
-  front-end (stdlib only), surfaced on the CLI as ``repro serve``;
-* :class:`HttpGateway` / :func:`run_stack` — HTTP/1.1 JSON gateway over
-  the same registry (``/v1/models/...``, ``/healthz``, Prometheus
-  ``/metrics``) and the combined TCP+HTTP serving stack;
+* :mod:`repro.serve.ops` — the one request layer under both wire
+  front-ends: decoding, field validation, one handler per op, typed
+  envelopes, the error → status map and the shared listener lifecycle
+  (the ops themselves are the README's "Serving" op table);
+* :class:`ExplanationServer` — JSON-lines TCP front-end (stdlib only) and
+  :class:`HttpGateway` — HTTP/1.1 JSON gateway plus Prometheus
+  ``/metrics``, both over one registry; :func:`run_stack` serves them
+  together, surfaced on the CLI as ``repro serve``;
 * :class:`ServeClient` — blocking pipelining client for scripts, tests,
   benchmarks and the CI smoke probe, with :class:`RetryPolicy`-governed
   safe retries (connect failures, overload rejections);
@@ -39,20 +42,18 @@ from repro.serve.metrics import (
     parse_prometheus_text,
     render_metrics,
 )
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
+from repro.serve.ops import (
     OPS,
     decode_request,
-    encode_line,
     error_response,
     ok_response,
 )
+from repro.serve.protocol import MAX_LINE_BYTES, encode_line
 from repro.serve.registry import DEFAULT_MAX_MODELS, ModelRegistry
 from repro.serve.server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     ExplanationServer,
-    run_server,
     run_stack,
 )
 from repro.serve.service import (
@@ -94,6 +95,5 @@ __all__ = [
     "parse_prometheus_text",
     "raise_for_error",
     "render_metrics",
-    "run_server",
     "run_stack",
 ]

@@ -6,55 +6,22 @@ existence.  :class:`HttpGateway` puts a deliberately small HTTP/1.1
 front-end on the same :class:`~repro.serve.registry.ModelRegistry` the TCP
 server routes through — same admission control, same micro-batching, same
 per-model stats — with no new dependencies (``asyncio.start_server`` plus
-hand-rolled request parsing, the same discipline as the TCP server).
+hand-rolled request parsing).
 
-Routes
-------
+This module only parses HTTP and maps each (method, path) to an op of
+:mod:`repro.serve.ops`, which validates and answers it exactly as it does
+a TCP line.  The routes, their bodies, payload keys and the error →
+status mapping are the README's "Serving" op table; ``GET /metrics`` adds
+the Prometheus text exposition (see :mod:`repro.serve.metrics`).  An
+unknown path is a 404, a wrong method a 405 with an ``Allow`` header.
 
-``POST /v1/models/{id}/explain``
-    Body ``{"query": {...spec...}, "method": "auto"}`` → ``{"ok": true,
-    "model": ..., "fingerprint": ..., "report": {...}}``.  A batch body
-    ``{"queries": [{...}, ...]}`` answers every spec concurrently through
-    the model's micro-batcher and returns ``"results"``: a per-query list
-    of ``{"ok": true, "report": ...}`` / typed-error envelopes, in request
-    order.  The query spec is exactly the TCP / ``batch-explain`` shape
-    (:func:`repro.data.query.query_from_spec`).
-``POST /v1/models/{id}/explain_view``
-    Body ``{"view": {"by": ["Location"], "measure": "LungCancer",
-    "agg": "AVG"}, "orientation": "both"}`` → ``{"ok": true, ...,
-    "summary": {...}}`` — one ranked, deduplicated causal summary of the
-    whole group-by view (:meth:`repro.core.view.ViewSummary.to_dict`).
-    Each enumerated pair runs as its own request with a derived
-    ``<trace_id>.<pair>`` child trace; ``timeout_ms`` applies per pair.
-``GET /v1/models``
-    ``{"ok": true, "models": [...]}`` — ids, artifact versions, and — for
-    loaded models — live version, fingerprint, age, idleness, counters.
-``GET /v1/models/{id}/stats``
-    The model's full :class:`ServerStats` snapshot (loads it if needed).
-``GET /v1/models/{id}/traces``
-    The model's ring buffer of recent request traces, most recent first
-    (span trees with per-phase timings; see :mod:`repro.obs.trace`).
-``GET /healthz``
-    Cheap liveness: ``{"ok": true, ...}``, no model loading.
-``GET /metrics``
-    Prometheus text exposition (see :mod:`repro.serve.metrics`).
-
-Tracing contract: every request may carry an ``X-Repro-Trace-Id`` header
-(or a ``trace_id`` body field on explain; the header wins); the gateway
-generates an id otherwise, opens a request-scoped trace per explain, and
-echoes the id in the response header on **every** route and status, plus
-inside every JSON error envelope — including 429/503 rejections and
-per-item batch failures, which also echo the item's optional ``id``.
-
-Failures map to status codes by exception type — 400 malformed request /
-query, 404 unknown model, 405 wrong method, 413/431 oversized, 429
-overloaded (shed at admission), 503 draining or a quarantined artifact,
-504 deadline exceeded (the explain body's optional ``timeout_ms`` budget)
-— and every error body is the same typed envelope the TCP protocol uses.
-429/503 responses carry a ``Retry-After`` header.  Connections are keep-alive by
-default; requests on one connection are served sequentially (plain
-HTTP/1.1 semantics), concurrency comes from many connections, and batching
-from the per-model service underneath.
+Every response echoes the request's trace id in the ``X-Repro-Trace-Id``
+header — the inbound header when it is valid, else the id the op layer
+resolved or minted — on every route and status.  429/503 responses carry
+a ``Retry-After`` header.  Connections are keep-alive by default;
+requests on one connection are served sequentially (plain HTTP/1.1
+semantics), concurrency comes from many connections, and batching from
+the per-model service underneath.
 """
 
 from __future__ import annotations
@@ -63,28 +30,19 @@ import asyncio
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro import obs
-from repro.core.reporting import report_to_dict
-from repro.data.query import query_from_spec
-from repro.errors import (
-    ArtifactQuarantinedError,
-    DeadlineExceededError,
-    ModelError,
-    ProtocolError,
-    QueryError,
-    RegistryError,
-    ReproError,
-    SchemaError,
-    ServeError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-    StoreError,
-)
+from repro.errors import ProtocolError, RegistryError, ReproError
 from repro.serve.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
-from repro.serve.metrics import render_metrics
-from repro.serve.protocol import MAX_LINE_BYTES, error_response
+from repro.serve.ops import (
+    TRACE_HEADER,
+    Listener,
+    answer,
+    error_response,
+    metrics_text,
+)
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.registry import ModelRegistry
 
 DEFAULT_HTTP_PORT = 8080
@@ -112,41 +70,37 @@ _REASONS = {
 #: whose cause — a full queue, an active quarantine — is transient).
 RETRY_AFTER_S = 1
 
-_MODEL_ROUTE = re.compile(
-    r"^/v1/models/([^/]+)/(explain_view|explain|stats|traces)$"
-)
-
-#: Header carrying the request-scoped trace id, inbound and outbound.
-TRACE_HEADER = "X-Repro-Trace-Id"
-
-
-def _status_for(exc: BaseException) -> int:
-    """Map a library exception to the HTTP status the caller can act on."""
-    if isinstance(exc, ArtifactQuarantinedError):
-        return 503  # transient: clears on backoff expiry / artifact change
-    if isinstance(exc, DeadlineExceededError):
-        return 504
-    if isinstance(exc, RegistryError):
-        return 404
-    if isinstance(exc, ServiceOverloadedError):
-        return 429
-    if isinstance(exc, ServiceClosedError):
-        return 503
-    if isinstance(exc, (ModelError, StoreError)):
-        return 500  # a loadable-looking artifact failed server-side
-    if isinstance(exc, (ProtocolError, QueryError, SchemaError)):
-        return 400
-    if isinstance(exc, ReproError):
-        return 400
-    return 500
+#: Path → (HTTP method, op) of the routes that name no model.
+_ROUTES = {
+    "/healthz": ("GET", "health"),
+    "/metrics": ("GET", "metrics"),
+    "/v1/models": ("GET", "models"),
+}
+#: Op → HTTP method of the ``/v1/models/{id}/<op>`` routes.
+_MODEL_ROUTES = {
+    "explain": "POST",
+    "explain_view": "POST",
+    "stats": "GET",
+    "traces": "GET",
+}
+_MODEL_PATH = re.compile(r"^/v1/models/([^/]+)/([^/]+)$")
 
 
-class _MethodNotAllowed(Exception):
-    """Wrong HTTP method on a known route; carries the Allow header."""
+def _route(path: str) -> tuple[str, str, str | None] | None:
+    """``(HTTP method, op, model id)`` of a path, or None: no such route."""
+    if path in _ROUTES:
+        method, op = _ROUTES[path]
+        return method, op, None
+    match = _MODEL_PATH.match(path)
+    if match is None or match.group(2) not in _MODEL_ROUTES:
+        return None
+    return _MODEL_ROUTES[match.group(2)], match.group(2), match.group(1)
 
-    def __init__(self, allowed: str) -> None:
-        super().__init__(f"method not allowed; use {allowed}")
-        self.allowed = allowed
+
+def _echoed_trace_id(header: str | None) -> str:
+    """The trace id of an answer the op layer did not give (a framing
+    error, ``/metrics``): the inbound header when valid, else a fresh one."""
+    return header if obs.valid_trace_id(header) else obs.new_trace_id()
 
 
 @dataclass
@@ -161,16 +115,31 @@ class _Request:
     #: Set when parsing failed: (status, message); the response closes the
     #: connection because the stream position is no longer trustworthy.
     bad: tuple[int, str] | None = None
-    #: Resolved request trace id: the inbound ``X-Repro-Trace-Id`` header,
-    #: else the body's ``trace_id`` field (explain), else freshly minted.
-    trace_id: str | None = None
 
 
-class HttpGateway:
-    """One HTTP endpoint over one registry.  ``port=0`` binds ephemeral;
-    the bound address is on :attr:`host` / :attr:`port` after
-    :meth:`start`.  The registry's lifecycle belongs to the caller (the
-    serving stack drains it once, after every front-end has stopped)."""
+def _response_bytes(
+    status: int,
+    body: bytes,
+    content_type: str,
+    keep_alive: bool,
+    extra_headers: Mapping[str, str],
+) -> bytes:
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    for name, value in extra_headers.items():
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+class HttpGateway(Listener):
+    """One HTTP endpoint over one registry (see :class:`~repro.serve.ops.
+    Listener` for the lifecycle)."""
+
+    proto = "http"
 
     def __init__(
         self,
@@ -178,96 +147,18 @@ class HttpGateway:
         host: str = "127.0.0.1",
         port: int = DEFAULT_HTTP_PORT,
     ) -> None:
-        self.registry = registry
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._draining = False
-        self._request_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self.connections_total = 0
-        self.requests_total = 0
+        super().__init__(registry, host, port)
 
-    # ------------------------------------------------------------------
-    # Lifecycle (mirrors ExplanationServer)
-    # ------------------------------------------------------------------
-
-    async def start(self) -> "HttpGateway":
-        await self.registry.start()
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port,
-                limit=MAX_LINE_BYTES,
-            )
-        except OSError as exc:
-            raise ServeError(
-                f"cannot bind http {self.host}:{self.port}: {exc}"
-            ) from exc
-        for sock in self._server.sockets or ():
-            self.host, self.port = sock.getsockname()[:2]
-            break
-        return self
-
-    async def stop(self) -> None:
-        """Stop accepting, finish every request already parsed, close.
-
-        The registry is *not* drained here — multiple front-ends share it;
-        the owner (``run_stack`` / the caller) drains it once at the end.
-        """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        while self._request_tasks:
-            await asyncio.gather(*tuple(self._request_tasks), return_exceptions=True)
-        for writer in tuple(self._writers):
-            writer.close()
-        for writer in tuple(self._writers):
-            try:
-                await asyncio.wait_for(writer.wait_closed(), timeout=10)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
-        self._writers.clear()
-
-    async def __aenter__(self) -> "HttpGateway":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.connections_total += 1
-        self._writers.add(writer)
-        try:
-            while not self._draining:
-                request = await self._read_request(reader)
-                if request is None:  # EOF / peer reset
-                    break
-                # One task per request, tracked so a graceful stop can
-                # converge on everything already parsed off the wire.
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_request(request, writer)
-                )
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-                # Sequential per connection: HTTP/1.1 without pipelining.
-                keep_alive = await task
-                if not keep_alive:
-                    break
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await asyncio.wait_for(writer.wait_closed(), timeout=10)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
+        while not self._draining:
+            request = await self._read_request(reader)
+            if request is None:  # EOF / peer reset
+                break
+            # Sequential per connection: HTTP/1.1 without pipelining.
+            if not await self._spawn(self._respond(request, writer)):
+                break
 
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
         try:
@@ -320,51 +211,54 @@ class HttpGateway:
             body=body, keep_alive=keep_alive,
         )
 
-    async def _handle_request(
+    async def _respond(
         self, request: _Request, writer: asyncio.StreamWriter
     ) -> bool:
-        """Route, respond, return whether the connection stays open."""
-        self.requests_total += 1
+        """Answer one request; return whether the connection stays open."""
+        header = request.headers.get(TRACE_HEADER.lower())
+        route = _route(request.path.split("?", 1)[0])
         extra_headers: dict[str, str] = {}
+        exc: ReproError | None = None
         if request.bad is not None:
-            status, message = request.bad
-            request.trace_id = obs.new_trace_id()
-            payload = error_response(
-                None, ProtocolError(message), trace_id=request.trace_id
-            )
-            del payload["id"]
-            keep_alive = False
-            body, content_type = self._json_body(payload)
+            status, exc = request.bad[0], ProtocolError(request.bad[1])
+        elif route is None:
+            status = 404
+            exc = RegistryError(f"no route {request.method} {request.path}")
+        elif route[0] != request.method:
+            status = 405
+            exc = ProtocolError(f"method not allowed; use {route[0]}")
+            extra_headers["Allow"] = route[0]
+        if exc is not None:
+            payload = error_response(None, exc, _echoed_trace_id(header))
+        elif route[1] == "metrics":
+            status, payload = 200, None
         else:
-            keep_alive = request.keep_alive
-            try:
-                request.trace_id = self._header_trace_id(request)
-                status, body, content_type = await self._route(request)
-            except _MethodNotAllowed as exc:
-                status = 405
-                extra_headers["Allow"] = exc.allowed
-                body, content_type = self._json_error(
-                    ProtocolError(str(exc)), self._ensure_trace_id(request)
-                )
-            except ReproError as exc:
-                status, (body, content_type) = (
-                    _status_for(exc),
-                    self._json_error(exc, self._ensure_trace_id(request)),
-                )
-            except Exception as exc:  # never tear down the gateway
-                status, (body, content_type) = 500, self._json_error(
-                    exc, self._ensure_trace_id(request)
-                )
-        # Every response — success, typed error (429/503 included), even a
-        # parse failure — echoes the trace id so clients can correlate.
-        extra_headers[TRACE_HEADER] = self._ensure_trace_id(request)
+            method, op, model_id = route
+            status, payload = await answer(
+                self,
+                request.body if method == "POST" else None,
+                route={"op": op, "model": model_id},
+                trace_header=header,
+            )
+        if payload is None:
+            body = (await metrics_text(self.registry)).encode("utf-8")
+            content_type = METRICS_CONTENT_TYPE
+            extra_headers[TRACE_HEADER] = _echoed_trace_id(header)
+        else:
+            del payload["id"]  # ids match pipelined TCP lines; HTTP has none
+            body = json.dumps(
+                payload, separators=(",", ":"), ensure_ascii=False
+            ).encode("utf-8")
+            content_type = "application/json"
+            extra_headers[TRACE_HEADER] = payload["trace_id"]
         if status in (429, 503):
             # Both causes are transient (shed load, active quarantine):
             # tell well-behaved clients when a retry is worth it.
-            extra_headers.setdefault("Retry-After", str(RETRY_AFTER_S))
+            extra_headers["Retry-After"] = str(RETRY_AFTER_S)
+        keep_alive = request.keep_alive and request.bad is None
         try:
             writer.write(
-                self._response_bytes(
+                _response_bytes(
                     status, body, content_type, keep_alive, extra_headers
                 )
             )
@@ -372,278 +266,3 @@ class HttpGateway:
         except (ConnectionError, RuntimeError):
             return False
         return keep_alive
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _json_body(payload: Mapping[str, Any]) -> tuple[bytes, str]:
-        return (
-            json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode(
-                "utf-8"
-            ),
-            "application/json",
-        )
-
-    @classmethod
-    def _json_error(
-        cls, exc: BaseException, trace_id: str | None = None
-    ) -> tuple[bytes, str]:
-        payload = error_response(None, exc, trace_id=trace_id)
-        del payload["id"]
-        return cls._json_body(payload)
-
-    @staticmethod
-    def _header_trace_id(request: _Request) -> str | None:
-        candidate = request.headers.get(TRACE_HEADER.lower())
-        if candidate is None:
-            return None
-        if not obs.valid_trace_id(candidate):
-            raise ProtocolError(
-                f"invalid {TRACE_HEADER} {candidate!r}: expected 1-64 chars "
-                "of [A-Za-z0-9._-]"
-            )
-        return candidate
-
-    @staticmethod
-    def _ensure_trace_id(request: _Request) -> str:
-        if request.trace_id is None:
-            request.trace_id = obs.new_trace_id()
-        return request.trace_id
-
-    @staticmethod
-    def _response_bytes(
-        status: int,
-        body: bytes,
-        content_type: str,
-        keep_alive: bool,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> bytes:
-        lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-    async def _route(self, request: _Request) -> tuple[int, bytes, str]:
-        method, path = request.method, request.path.split("?", 1)[0]
-        if path == "/healthz":
-            if method != "GET":
-                raise _MethodNotAllowed("GET")
-            body, ctype = self._json_body(
-                {
-                    "ok": True,
-                    "models_loaded": len(self.registry.loaded_entries()),
-                    "models_available": len(self.registry.available_ids()),
-                }
-            )
-            return 200, body, ctype
-        if path == "/metrics":
-            if method != "GET":
-                raise _MethodNotAllowed("GET")
-            return 200, await self._metrics_body(), METRICS_CONTENT_TYPE
-        if path == "/v1/models":
-            if method != "GET":
-                raise _MethodNotAllowed("GET")
-            body, ctype = self._json_body(
-                {"ok": True, "models": self.registry.models_payload()}
-            )
-            return 200, body, ctype
-        match = _MODEL_ROUTE.match(path)
-        if match is None:
-            raise RegistryError(f"no route {method} {path}")
-        model_id, action = match.group(1), match.group(2)
-        if action == "stats":
-            if method != "GET":
-                raise _MethodNotAllowed("GET")
-            stats = await self.registry.stats_for(model_id)
-            body, ctype = self._json_body({"ok": True, "stats": stats})
-            return 200, body, ctype
-        if action == "traces":
-            if method != "GET":
-                raise _MethodNotAllowed("GET")
-            traces = await self.registry.traces_for(model_id)
-            body, ctype = self._json_body(
-                {"ok": True, "model": model_id, "traces": traces}
-            )
-            return 200, body, ctype
-        # action == "explain" | "explain_view"
-        if method != "POST":
-            raise _MethodNotAllowed("POST")
-        if action == "explain_view":
-            return await self._explain_view(model_id, request)
-        return await self._explain(model_id, request)
-
-    async def _metrics_body(self) -> bytes:
-        # cache_info takes each session's lock (a flush may hold it):
-        # fetch off-loop, then render from loop-confined stats structures.
-        loop = asyncio.get_running_loop()
-        cache_infos: dict[str, Mapping[str, int]] = {}
-        for entry in self.registry.loaded_entries():
-            cache_infos[entry.model_id] = await loop.run_in_executor(
-                None, entry.service.session.cache_info
-            )
-        text = render_metrics(
-            self.registry,
-            cache_infos=cache_infos,
-            frontends={
-                "http": {
-                    "requests": self.requests_total,
-                    "connections": self.connections_total,
-                }
-            },
-        )
-        return text.encode("utf-8")
-
-    def _parse_json_body(
-        self, request: _Request, expects: str
-    ) -> tuple[dict[str, Any], str, float | None, str]:
-        """Decode and validate the common POST body fields.
-
-        Returns ``(payload, method, timeout_ms, trace_id)``; shared by the
-        ``explain`` and ``explain_view`` actions, which validate their
-        op-specific fields on top.
-        """
-        raw = request.body
-        try:
-            payload = json.loads(raw.decode("utf-8")) if raw else None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ProtocolError(
-                f"body must be a JSON object with {expects}"
-            )
-        method = payload.get("method", "auto")
-        if not isinstance(method, str):
-            raise ProtocolError(f"'method' must be a string, got {method!r}")
-        timeout_ms = payload.get("timeout_ms")
-        if timeout_ms is not None:
-            if isinstance(timeout_ms, bool) or not isinstance(
-                timeout_ms, (int, float)
-            ):
-                raise ProtocolError(
-                    f"'timeout_ms' must be a number, got {timeout_ms!r}"
-                )
-            if timeout_ms <= 0:
-                raise ProtocolError(
-                    f"'timeout_ms' must be > 0, got {timeout_ms!r}"
-                )
-            timeout_ms = float(timeout_ms)
-        body_tid = payload.get("trace_id")
-        if body_tid is not None:
-            if not obs.valid_trace_id(body_tid):
-                raise ProtocolError(
-                    f"invalid trace_id {body_tid!r}: expected 1-64 chars of "
-                    "[A-Za-z0-9._-]"
-                )
-            if request.trace_id is None:  # the header, when sent, wins
-                request.trace_id = body_tid
-        return payload, method, timeout_ms, self._ensure_trace_id(request)
-
-    async def _explain_view(
-        self, model_id: str, request: _Request
-    ) -> tuple[int, bytes, str]:
-        payload, method, timeout_ms, trace_id = self._parse_json_body(
-            request, "'view'"
-        )
-        if "view" not in payload:
-            raise ProtocolError("explain_view body missing 'view'")
-        orientation = payload.get("orientation", "both")
-        if not isinstance(orientation, str):
-            raise ProtocolError(
-                f"'orientation' must be a string, got {orientation!r}"
-            )
-        entry = await self.registry.entry_for(model_id)
-        base = {"ok": True, "model": entry.model_id, "version": entry.version,
-                "fingerprint": entry.fingerprint, "trace_id": trace_id}
-        trace = obs.Trace(name="request", trace_id=trace_id)
-        trace.root.tag(op="explain_view", proto="http", model=entry.model_id)
-        summary = await entry.service.explain_view(
-            payload["view"],
-            orientation=orientation,
-            method=method,
-            trace=trace,
-            timeout_ms=timeout_ms,
-        )
-        body, ctype = self._json_body({**base, "summary": summary.to_dict()})
-        return 200, body, ctype
-
-    async def _explain(
-        self, model_id: str, request: _Request
-    ) -> tuple[int, bytes, str]:
-        payload, method, timeout_ms, trace_id = self._parse_json_body(
-            request, "'query' or 'queries'"
-        )
-        entry = await self.registry.entry_for(model_id)
-        base = {"ok": True, "model": entry.model_id, "version": entry.version,
-                "fingerprint": entry.fingerprint, "trace_id": trace_id}
-        if "queries" in payload:
-            specs = payload["queries"]
-            if not isinstance(specs, list) or not specs:
-                raise ProtocolError("'queries' must be a non-empty JSON list")
-            # Validate every spec before admitting any: a malformed entry
-            # fails the whole request cheaply instead of half-serving it.
-            queries = [
-                query_from_spec(spec, entry.service.table) for spec in specs
-            ]
-            item_ids = [
-                spec.get("id") if isinstance(spec, Mapping) else None
-                for spec in specs
-            ]
-            # Each batch item gets its own trace under the request's id
-            # (dot-suffixed), so the ring and the per-item envelopes stay
-            # correlatable with the one id the client sent.
-            traces = [
-                obs.Trace(name="request", trace_id=f"{trace_id}.{index}")
-                for index in range(len(queries))
-            ]
-            for index, trace in enumerate(traces):
-                trace.root.tag(
-                    op="explain", proto="http", model=entry.model_id,
-                    item=index,
-                )
-            outcomes = await asyncio.gather(
-                *(
-                    entry.service.explain(
-                        q, method=method, trace=t, timeout_ms=timeout_ms
-                    )
-                    for q, t in zip(queries, traces)
-                ),
-                return_exceptions=True,
-            )
-            results = []
-            for index, outcome in enumerate(outcomes):
-                if isinstance(outcome, BaseException):
-                    envelope = error_response(
-                        item_ids[index], outcome,
-                        trace_id=traces[index].trace_id,
-                    )
-                else:
-                    envelope = {
-                        "id": item_ids[index],
-                        "ok": True,
-                        "trace_id": traces[index].trace_id,
-                        "report": report_to_dict(outcome),
-                    }
-                if envelope.get("id") is None:
-                    del envelope["id"]
-                results.append(envelope)
-            body, ctype = self._json_body({**base, "results": results})
-            return 200, body, ctype
-        if "query" not in payload:
-            raise ProtocolError("explain body missing 'query' (or 'queries')")
-        query = query_from_spec(payload["query"], entry.service.table)
-        trace = obs.Trace(name="request", trace_id=trace_id)
-        trace.root.tag(op="explain", proto="http", model=entry.model_id)
-        report = await entry.service.explain(
-            query, method=method, trace=trace, timeout_ms=timeout_ms
-        )
-        body, ctype = self._json_body(
-            {**base, "report": report_to_dict(report)}
-        )
-        return 200, body, ctype

@@ -13,10 +13,10 @@ per-model ``_info`` series carrying version + artifact fingerprint::
     repro_serve_latency_seconds{model="churn",quantile="0.99"} 0.0141
     repro_serve_model_info{model="churn",version="2",fingerprint="c52e..."} 1
 
-Everything is computed from loop-confined structures, so the caller (the
-HTTP gateway's ``/metrics`` handler) must run it on the event loop; the
-lock-taking per-session ``cache_info`` dicts are pre-fetched off-loop and
-passed in.
+Everything is computed from loop-confined structures, so the caller
+(:func:`repro.serve.ops.metrics_text`, behind the HTTP ``/metrics``
+route) must run it on the event loop; the lock-taking per-session
+``cache_info`` dicts are pre-fetched off-loop and passed in.
 
 :func:`parse_prometheus_text` is the matching strict parser — used by the
 test suite and the smoke probe to assert the output actually *is* valid

@@ -1,71 +1,13 @@
-"""Wire protocol of the explanation service: JSON lines, typed errors.
+"""JSON-lines framing of the TCP wire: one request per line, one response
+per line.
 
-One request per line, one response per line, UTF-8 JSON with no embedded
-newlines — a protocol that works with ``nc``, ``telnet``, or four lines of
-Python.  Requests are objects carrying an ``op`` plus op-specific fields;
-an optional ``id`` (any JSON value) is echoed verbatim in the response so
-pipelining clients can match responses to requests without assuming
-ordering.
-
-Ops
----
-
-``explain``
-    ``{"op": "explain", "id": 7, "query": {"s1": {...}, "s2": {...},
-    "measure": "...", "agg": "AVG"}, "method": "auto"}`` →
-    ``{"id": 7, "ok": true, "report": {...}}`` with the report in the
-    stable :func:`repro.core.reporting.report_to_dict` schema.  The query
-    spec is exactly the CLI ``batch-explain`` file entry shape (see
-    :func:`repro.data.query.query_from_spec`).  An optional
-    ``"timeout_ms"`` number sets the request's deadline — past it the
-    response is a typed ``DeadlineExceededError`` envelope (the service
-    default / cap still applies; see ``repro serve
-    --default-timeout-ms/--max-timeout-ms``).
-``explain_view``
-    ``{"op": "explain_view", "id": 8, "view": {"by": ["Location"],
-    "measure": "LungCancer", "agg": "AVG"}, "orientation": "both",
-    "method": "auto"}`` → ``{"id": 8, "ok": true, "summary": {...}}`` —
-    one ranked, deduplicated causal summary of the whole group-by view
-    (the :meth:`repro.core.view.ViewSummary.to_dict` schema; see
-    :func:`repro.core.view.view_from_spec` for the ``view`` spec shape).
-    ``orientation`` is ``pairwise`` / ``vs_rest`` / ``both`` (default);
-    an optional ``"timeout_ms"`` applies per enumerated pair.
-``stats``
-    ``{"op": "stats"}`` → ``{"ok": true, "stats": {...}}`` — the
-    :class:`~repro.serve.service.ServerStats` snapshot.
-
-``explain``, ``explain_view`` and ``stats`` accept an optional
-``"model": "<id>"`` field
-naming which model in the server's :class:`~repro.serve.registry.
-ModelRegistry` should answer.  Omitting it routes to the registry's
-default model (the only model, for a single-model server); an unknown id
-is a typed ``RegistryError`` response.
-``traces``
-    ``{"op": "traces"}`` → ``{"ok": true, "traces": [...]}`` — the
-    model's ring buffer of recent request traces, most recent first
-    (span trees with per-phase timings; see :mod:`repro.obs.trace`).
-    Accepts ``"model"`` like ``explain``/``stats``.
-``ping``
-    ``{"op": "ping"}`` → ``{"ok": true, "pong": true}`` — liveness probe.
-``shutdown``
-    ``{"op": "shutdown"}`` → ack, then the server drains and exits.  Only
-    honoured when the server was started with ``allow_shutdown`` (the CI
-    smoke path); otherwise a typed error.
-
-Every failure is a typed error response, never a dropped connection::
-
-    {"id": 7, "ok": false,
-     "error": {"type": "QueryError", "message": "unknown measure 'Zz'..."}}
-
-``error.type`` is the :mod:`repro.errors` class name (``ProtocolError``,
-``QueryError``, ``ServiceOverloadedError``, ``ServiceClosedError``, ...),
-so clients can switch on it without parsing messages.
-
-Tracing contract: every request may carry an optional ``"trace_id"``
-string (1-64 chars of ``[A-Za-z0-9._-]``); the server generates one
-otherwise and echoes it as ``"trace_id"`` in **every** response — success
-or typed error, including admission rejections — so overload failures are
-correlatable from the client side.
+UTF-8 JSON with no embedded newlines — a protocol that works with ``nc``,
+``telnet``, or four lines of Python.  Each request is an object naming an
+``op``; an optional ``id`` (any JSON value) is echoed verbatim in the
+response so pipelining clients can match responses to requests without
+assuming ordering.  The ops, their fields, payload keys and typed errors
+are the README's "Serving" op table, implemented once for both wire
+front-ends by :mod:`repro.serve.ops`.
 """
 
 from __future__ import annotations
@@ -73,14 +15,9 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from repro.errors import ProtocolError, ReproError
-
-#: Ops a server understands; anything else is a ProtocolError.
-OPS = ("explain", "explain_view", "stats", "traces", "ping", "shutdown")
-
-#: Upper bound on one request line (bytes). Also passed to the asyncio
-#: stream reader as its buffer limit, so an unframed flood cannot balloon
-#: server memory.
+#: Upper bound on one request (bytes): a TCP line or an HTTP body.  Also
+#: passed to the asyncio stream reader as its buffer limit, so an unframed
+#: flood cannot balloon server memory.
 MAX_LINE_BYTES = 1 << 20
 
 
@@ -89,59 +26,3 @@ def encode_line(payload: Mapping[str, Any]) -> bytes:
     return (
         json.dumps(payload, separators=(",", ":"), ensure_ascii=False) + "\n"
     ).encode("utf-8")
-
-
-def decode_request(line: bytes | str) -> dict[str, Any]:
-    """Parse and shape-check one request line.
-
-    Raises :class:`ProtocolError` on anything that is not a JSON object
-    with a known ``op`` string — the caller turns that into a typed error
-    response on the same connection.
-    """
-    if isinstance(line, bytes):
-        if len(line) > MAX_LINE_BYTES:
-            raise ProtocolError(
-                f"request line exceeds {MAX_LINE_BYTES} bytes"
-            )
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"request is not valid UTF-8: {exc}") from exc
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"request is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            f"request must be a JSON object, got {type(payload).__name__}"
-        )
-    op = payload.get("op")
-    if op not in OPS:
-        raise ProtocolError(f"unknown op {op!r}; expected one of {list(OPS)}")
-    return payload
-
-
-def ok_response(request_id: Any = None, **fields: Any) -> dict[str, Any]:
-    """A success response envelope (the echoed ``id`` plus payload)."""
-    return {"id": request_id, "ok": True, **fields}
-
-
-def error_response(
-    request_id: Any, exc: BaseException, trace_id: str | None = None
-) -> dict[str, Any]:
-    """A typed error response for ``exc``.
-
-    Library errors surface their own class name; anything else is reported
-    as ``InternalError`` with the message intact (the server never lets an
-    exception tear down the connection).  ``trace_id`` rides along when
-    known so even rejections are correlatable.
-    """
-    name = type(exc).__name__ if isinstance(exc, ReproError) else "InternalError"
-    response: dict[str, Any] = {
-        "id": request_id,
-        "ok": False,
-        "error": {"type": name, "message": str(exc)},
-    }
-    if trace_id is not None:
-        response["trace_id"] = trace_id
-    return response

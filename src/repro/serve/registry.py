@@ -171,6 +171,11 @@ class ModelRegistry:
         self.max_models = max_models
         self.default_model = default_model
         self.service_kwargs = dict(service_kwargs or {})
+        ExplanationService.check_knobs(**self.service_kwargs)
+        #: Wire front-ends now serving this registry (see
+        #: :class:`repro.serve.ops.Listener`); ``stats`` and ``/metrics``
+        #: report their request and connection counters.
+        self.listeners: list = []
         self.started_at = time.monotonic()
         self._entries: dict[str, _Entry] = {}
         self._quarantines: dict[str, _Quarantine] = {}
@@ -485,7 +490,7 @@ class ModelRegistry:
             self._schedule_drain(victim.service)
 
     # ------------------------------------------------------------------
-    # Introspection (the /v1/models and stats payloads)
+    # Introspection (the models payload, metrics and the exit banner)
     # ------------------------------------------------------------------
 
     def models_payload(self) -> list[dict[str, Any]]:
@@ -528,27 +533,6 @@ class ModelRegistry:
         """Ids whose latest artifact is currently negative-cached (the
         ``quarantined_models`` metrics gauge iterates this)."""
         return sorted(self._quarantines)
-
-    async def stats_for(self, model_id: str | None = None) -> dict[str, Any]:
-        """One model's full stats snapshot (loads the model if needed).
-
-        The session's lock-taking ``cache_info`` is fetched in a worker
-        thread so the event loop never waits behind a flush in progress.
-        """
-        entry = await self.entry_for(model_id)
-        cache_info = await asyncio.get_running_loop().run_in_executor(
-            None, entry.service.session.cache_info
-        )
-        stats = entry.service.stats_snapshot(cache_info=cache_info)
-        stats["model"] = entry.model_id
-        stats["version"] = entry.version
-        return stats
-
-    async def traces_for(self, model_id: str | None = None) -> list[dict[str, Any]]:
-        """One model's recent request traces, most recent first (loads the
-        model if needed; the trace ring takes its own lock)."""
-        entry = await self.entry_for(model_id)
-        return entry.service.traces_snapshot()
 
     def aggregate_counters(self) -> dict[str, int]:
         """Summed core counters across the loaded set (the CLI's exit

@@ -1,22 +1,15 @@
 """JSON-lines TCP front-end over the model registry.
 
 Stdlib only: ``asyncio.start_server`` + the :mod:`repro.serve.protocol`
-framing.  Each connection may pipeline requests — every request line is
-handled by its own task, so one connection's stream of explains still
-coalesces in the service's micro-batcher; responses carry the request's
-echoed ``id`` for matching (they may complete out of order).
+framing; :func:`repro.serve.ops.answer` answers every line (the ops and
+their fields are the README's "Serving" op table).  Each connection may
+pipeline requests — every request line is handled by its own task, so one
+connection's stream of explains still coalesces in the service's
+micro-batcher; responses carry the request's echoed ``id`` for matching
+(they may complete out of order).
 
-Requests route through a :class:`~repro.serve.registry.ModelRegistry`: an
-optional ``model`` field on ``explain`` / ``explain_view`` / ``stats``
-picks the model, and
-omitting it serves the registry's default.  The historical single-service
-constructor still works — it wraps the service in a pinned single-entry
-registry (:meth:`ModelRegistry.for_service`), so both shapes run the exact
-same dispatch path.
-
-Shutdown is a graceful drain: stop accepting connections, let every
-request already read finish, flush every service's admitted backlog, then
-close.  ``repro serve`` (the CLI) wires signals via :func:`run_stack`; the
+Shutdown is a graceful drain (:meth:`~repro.serve.ops.Listener.stop`).
+``repro serve`` (the CLI) wires signals via :func:`run_stack`; the
 ``shutdown`` op does the same when the server was started with
 ``allow_shutdown=True`` (the CI smoke path).
 """
@@ -24,112 +17,44 @@ close.  ``repro serve`` (the CLI) wires signals via :func:`run_stack`; the
 from __future__ import annotations
 
 import asyncio
-from typing import Any
 
-from repro import obs
-from repro.core.reporting import report_to_dict
-from repro.data.query import query_from_spec
-from repro.errors import ProtocolError, ReproError, ServeError
 from repro.serve import faults
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    decode_request,
-    encode_line,
-    error_response,
-    ok_response,
-)
+from repro.serve.http import HttpGateway
+from repro.serve.ops import Listener, answer
+from repro.serve.protocol import encode_line
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import ExplanationService
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
 
-class ExplanationServer:
-    """One TCP endpoint over one registry of models.
+class ExplanationServer(Listener):
+    """One JSON-lines TCP endpoint over one registry of models.
 
-    Construct with either a single :class:`ExplanationService` (wrapped in
-    a pinned registry, drained when this server stops — the historical
-    shape) or ``registry=...`` (shared with other front-ends; its
-    lifecycle belongs to the caller).  Use ``port=0`` to bind an ephemeral
-    port (tests); the bound address is on :attr:`host` / :attr:`port`
-    after :meth:`start`.
+    ``allow_shutdown`` honours the ``shutdown`` op; ``shutdown_event`` is
+    the event it sets (shared across a serving stack; one is made at
+    :meth:`start` otherwise).
     """
+
+    proto = "tcp"
 
     def __init__(
         self,
-        service: ExplanationService | None = None,
+        registry: ModelRegistry,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         allow_shutdown: bool = False,
         *,
-        registry: ModelRegistry | None = None,
         shutdown_event: "asyncio.Event | None" = None,
     ) -> None:
-        if (service is None) == (registry is None):
-            raise ServeError(
-                "ExplanationServer needs exactly one of a service or a registry"
-            )
-        if registry is None:
-            assert service is not None
-            registry = ModelRegistry.for_service(service)
-            self._owns_registry = True
-        else:
-            self._owns_registry = False
-        self.registry = registry
-        self.host = host
-        self.port = port
+        super().__init__(registry, host, port)
         self.allow_shutdown = allow_shutdown
-        self._server: asyncio.AbstractServer | None = None
         self._stop_requested = shutdown_event
-        self._draining = False
-        self._request_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self.connections_total = 0
-        self.requests_total = 0
-
-    @property
-    def service(self) -> ExplanationService:
-        """The default model's service (single-model compat accessor)."""
-        entries = self.registry.loaded_entries()
-        default = self.registry.default_model
-        for entry in entries:
-            if entry.model_id == default:
-                return entry.service
-        if len(entries) == 1:
-            return entries[0].service
-        raise ServeError(
-            "no single default service: this server routes a multi-model "
-            "registry; pick one via registry.service_for(model_id)"
-        )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
 
     async def start(self) -> "ExplanationServer":
-        await self.registry.start()
         if self._stop_requested is None:
             self._stop_requested = asyncio.Event()
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port,
-                limit=MAX_LINE_BYTES,
-            )
-        except OSError as exc:
-            # A busy port must be a typed error, and the services we just
-            # started (flusher tasks, pools) must not leak behind it —
-            # but only when this server owns the registry's lifecycle.
-            if self._owns_registry:
-                await self.registry.stop()
-            raise ServeError(
-                f"cannot bind {self.host}:{self.port}: {exc}"
-            ) from exc
-        sockets = self._server.sockets or ()
-        for sock in sockets:
-            self.host, self.port = sock.getsockname()[:2]
-            break
-        return self
+        return await super().start()
 
     def request_shutdown(self) -> None:
         """Flip the shutdown flag (signal handlers, the ``shutdown`` op)."""
@@ -142,56 +67,9 @@ class ExplanationServer:
         await self._stop_requested.wait()
         await self.stop()
 
-    async def stop(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, drain services.
-
-        Ordering matters: the draining flag stops connection loops from
-        spawning new request tasks, the gather loop then converges on the
-        tasks already spawned (re-snapshotting to catch any raced in
-        around the flag), and only after every outstanding response has
-        been written does the registry drain and the writers close — so
-        every request that got a task gets its answer on the wire.  A
-        shared registry (``_owns_registry=False``) is left running for its
-        owner to drain once after every front-end has stopped.
-        """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        while self._request_tasks:
-            await asyncio.gather(*tuple(self._request_tasks), return_exceptions=True)
-        if self._owns_registry:
-            await self.registry.stop()
-        for writer in tuple(self._writers):
-            writer.close()
-        for writer in tuple(self._writers):
-            # drain() only waits to the high-water mark; wait_closed flushes
-            # what is still transport-buffered before the loop goes away,
-            # so a slow reader's large response is never truncated.  The
-            # timeout keeps a peer that stopped reading from pinning the
-            # shutdown forever.
-            try:
-                await asyncio.wait_for(writer.wait_closed(), timeout=10)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
-        self._writers.clear()
-
-    async def __aenter__(self) -> "ExplanationServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.connections_total += 1
-        self._writers.add(writer)
         write_lock = asyncio.Lock()
         connection_tasks: set[asyncio.Task] = set()
         try:
@@ -201,9 +79,7 @@ class ExplanationServer:
                 except (ValueError, ConnectionError):
                     # Over-long line or reset peer: nothing sane to answer.
                     break
-                if not line:
-                    break
-                if self._draining:
+                if not line or self._draining:
                     # A line that arrives mid-drain was never admitted;
                     # the closing connection is its answer.
                     break
@@ -214,12 +90,9 @@ class ExplanationServer:
                     # Chaos: sever *before* dispatch — the request was
                     # never admitted, so a client retry is provably safe.
                     break
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_request(line, writer, write_lock)
-                )
-                for tracker in (self._request_tasks, connection_tasks):
-                    tracker.add(task)
-                    task.add_done_callback(tracker.discard)
+                task = self._spawn(self._answer_line(line, writer, write_lock))
+                connection_tasks.add(task)
+                task.add_done_callback(connection_tasks.discard)
         finally:
             # EOF on the read side (e.g. a piped `nc` half-close) must not
             # drop answers still in flight: finish them before closing.
@@ -227,180 +100,20 @@ class ExplanationServer:
                 await asyncio.gather(
                     *tuple(connection_tasks), return_exceptions=True
                 )
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                # Flush past the high-water mark; bounded so a peer that
-                # stopped reading cannot pin this handler forever.
-                await asyncio.wait_for(writer.wait_closed(), timeout=10)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
 
-    async def _handle_request(
+    async def _answer_line(
         self,
         line: bytes,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
-        self.requests_total += 1
-        request_id: Any = None
-        trace_id: str | None = None
-        try:
-            request = decode_request(line)
-            request_id = request.get("id")
-            trace_id = self._trace_id_of(request)
-            response = await self._dispatch(request, trace_id)
-        except ReproError as exc:
-            response = error_response(request_id, exc, trace_id=trace_id)
-        except Exception as exc:  # never tear down the connection
-            response = error_response(request_id, exc, trace_id=trace_id)
-        # Every response — success, typed error, admission rejection —
-        # carries a trace id so failures stay correlatable client-side.
-        if response.get("trace_id") is None:
-            response["trace_id"] = trace_id or obs.new_trace_id()
+        _status, response = await answer(self, line)
         try:
             async with write_lock:
                 writer.write(encode_line(response))
                 await writer.drain()
         except (ConnectionError, RuntimeError):
             pass  # peer went away before its answer did
-
-    def _requested_model(self, request: dict[str, Any]) -> str | None:
-        model = request.get("model")
-        if model is not None and not isinstance(model, str):
-            raise ProtocolError(f"'model' must be a string, got {model!r}")
-        return model
-
-    @staticmethod
-    def _requested_timeout_ms(request: dict[str, Any]) -> float | None:
-        """The request's deadline budget (``timeout_ms``), validated."""
-        timeout_ms = request.get("timeout_ms")
-        if timeout_ms is None:
-            return None
-        if isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float)):
-            raise ProtocolError(
-                f"'timeout_ms' must be a number, got {timeout_ms!r}"
-            )
-        if timeout_ms <= 0:
-            raise ProtocolError(f"'timeout_ms' must be > 0, got {timeout_ms!r}")
-        return float(timeout_ms)
-
-    @staticmethod
-    def _trace_id_of(request: dict[str, Any]) -> str:
-        """The request's ``trace_id`` (validated) or a freshly minted one."""
-        candidate = request.get("trace_id")
-        if candidate is None:
-            return obs.new_trace_id()
-        if not obs.valid_trace_id(candidate):
-            raise ProtocolError(
-                f"invalid trace_id {candidate!r}: expected 1-64 chars of "
-                "[A-Za-z0-9._-]"
-            )
-        return candidate
-
-    async def _dispatch(
-        self, request: dict[str, Any], trace_id: str
-    ) -> dict[str, Any]:
-        op = request["op"]
-        request_id = request.get("id")
-        if op == "ping":
-            return ok_response(request_id, pong=True)
-        if op == "traces":
-            entry = await self.registry.entry_for(self._requested_model(request))
-            return ok_response(
-                request_id,
-                model=entry.model_id,
-                traces=entry.service.traces_snapshot(),
-            )
-        if op == "stats":
-            entry = await self.registry.entry_for(self._requested_model(request))
-            # cache_info takes the session lock, which the flush thread
-            # may hold mid-explain — fetch it in a worker thread so the
-            # loop never waits on it.  The ServerStats structures are
-            # loop-confined, so the rest of the snapshot is taken here.
-            cache_info = await asyncio.get_running_loop().run_in_executor(
-                None, entry.service.session.cache_info
-            )
-            stats = entry.service.stats_snapshot(cache_info=cache_info)
-            stats["model"] = entry.model_id
-            stats["version"] = entry.version
-            stats["connections_total"] = self.connections_total
-            stats["requests_total"] = self.requests_total
-            return ok_response(request_id, stats=stats)
-        if op == "shutdown":
-            if not self.allow_shutdown:
-                raise ProtocolError(
-                    "shutdown over the wire is disabled "
-                    "(start the server with --allow-shutdown)"
-                )
-            self.request_shutdown()
-            return ok_response(request_id, draining=True)
-        if op == "explain_view":
-            if "view" not in request:
-                raise ProtocolError("explain_view request missing 'view'")
-            entry = await self.registry.entry_for(self._requested_model(request))
-            method = request.get("method", "auto")
-            if not isinstance(method, str):
-                raise ProtocolError(f"'method' must be a string, got {method!r}")
-            orientation = request.get("orientation", "both")
-            if not isinstance(orientation, str):
-                raise ProtocolError(
-                    f"'orientation' must be a string, got {orientation!r}"
-                )
-            timeout_ms = self._requested_timeout_ms(request)
-            trace = obs.Trace(name="request", trace_id=trace_id)
-            trace.root.tag(op="explain_view", proto="tcp", model=entry.model_id)
-            summary = await entry.service.explain_view(
-                request["view"],
-                orientation=orientation,
-                method=method,
-                trace=trace,
-                timeout_ms=timeout_ms,
-            )
-            return ok_response(request_id, summary=summary.to_dict())
-        # op == "explain" (decode_request already validated the op set)
-        if "query" not in request:
-            raise ProtocolError("explain request missing 'query'")
-        entry = await self.registry.entry_for(self._requested_model(request))
-        query = query_from_spec(request["query"], entry.service.table)
-        method = request.get("method", "auto")
-        if not isinstance(method, str):
-            raise ProtocolError(f"'method' must be a string, got {method!r}")
-        timeout_ms = self._requested_timeout_ms(request)
-        trace = obs.Trace(name="request", trace_id=trace_id)
-        trace.root.tag(op="explain", proto="tcp", model=entry.model_id)
-        report = await entry.service.explain(
-            query, method=method, trace=trace, timeout_ms=timeout_ms
-        )
-        return ok_response(request_id, report=report_to_dict(report))
-
-
-async def run_server(
-    service: ExplanationService,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    allow_shutdown: bool = False,
-    ready: "asyncio.Event | None" = None,
-    announce=None,
-) -> ExplanationServer:
-    """Start a single-service TCP server, announce it, serve until
-    shutdown, drain, return it.
-
-    ``announce`` (a callable taking one string) receives the one-line
-    "serving on host:port" banner once the socket is bound — the CLI
-    prints it to stderr; tests and the smoke harness parse it.
-    """
-    server = ExplanationServer(
-        service, host=host, port=port, allow_shutdown=allow_shutdown
-    )
-    await server.start()
-    if announce is not None:
-        announce(f"serving on {server.host}:{server.port}")
-    if ready is not None:
-        ready.set()
-    _install_signal_handlers(server.request_shutdown)
-    await server.serve_until_shutdown()
-    return server
 
 
 def _install_signal_handlers(handler) -> None:
@@ -428,38 +141,31 @@ async def run_stack(
 
     One shared shutdown event covers the whole stack: signals and the TCP
     ``shutdown`` op stop both front-ends, after which the registry — whose
-    lifecycle this function owns — drains every model's backlog.
-    ``announce`` receives "serving on h:p" for the TCP socket first (the
-    line the smoke harness and the CLI banner key on), then "http on h:p".
+    lifecycle this function owns, also when a listener fails to bind —
+    drains every model's backlog.  ``announce`` receives "serving on h:p"
+    for the TCP socket first (the line the smoke harness and the CLI
+    banner key on), then "http on h:p".
     """
-    from repro.serve.http import HttpGateway  # circular-import guard
-
     shutdown_event = asyncio.Event()
     server = ExplanationServer(
-        registry=registry,
-        host=host,
-        port=port,
-        allow_shutdown=allow_shutdown,
-        shutdown_event=shutdown_event,
+        registry, host, port, allow_shutdown, shutdown_event=shutdown_event
     )
-    gateway: HttpGateway | None = None
+    listeners: list[Listener] = [server]
+    if http_port is not None:
+        listeners.append(HttpGateway(registry, host=host, port=http_port))
     try:
-        await registry.start()
-        await server.start()
-        if http_port is not None:
-            gateway = HttpGateway(registry, host=host, port=http_port)
-            await gateway.start()
+        for listener in listeners:
+            await listener.start()
         if announce is not None:
             announce(f"serving on {server.host}:{server.port}")
-            if gateway is not None:
+            for gateway in listeners[1:]:
                 announce(f"http on {gateway.host}:{gateway.port}")
         if ready is not None:
             ready.set()
         _install_signal_handlers(shutdown_event.set)
         await shutdown_event.wait()
     finally:
-        if gateway is not None:
-            await gateway.stop()
-        await server.stop()
+        for listener in reversed(listeners):
+            await listener.stop()
         await registry.stop()
     return server

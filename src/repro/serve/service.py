@@ -264,20 +264,14 @@ class ExplanationService:
         trace_ring: int = DEFAULT_TRACE_RING,
         trace_dir: str | Path | None = None,
     ) -> None:
-        if max_batch < 1:
-            raise ServeError(f"max_batch must be ≥ 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ServeError(f"max_wait_ms must be ≥ 0, got {max_wait_ms}")
-        if queue_limit < 1:
-            raise ServeError(f"queue_limit must be ≥ 1, got {queue_limit}")
-        for name, value in (
-            ("default_timeout_ms", default_timeout_ms),
-            ("max_timeout_ms", max_timeout_ms),
-        ):
-            if value is not None and value <= 0:
-                raise ServeError(f"{name} must be > 0, got {value}")
-        if slow_query_ms is not None and slow_query_ms < 0:
-            raise ServeError(f"slow_query_ms must be ≥ 0, got {slow_query_ms}")
+        self.check_knobs(
+            max_batch=max_batch,
+            max_wait_ms=max_wait_ms,
+            queue_limit=queue_limit,
+            default_timeout_ms=default_timeout_ms,
+            max_timeout_ms=max_timeout_ms,
+            slow_query_ms=slow_query_ms,
+        )
         self.session = ExplainSession(model, table, config=config)
         self.model = model
         self.table = table
@@ -299,6 +293,40 @@ class ExplanationService:
         self._flusher: asyncio.Task | None = None
         self._flush_pool = None  # single dedicated flush thread, lazily built
         self._closed = False
+
+    @staticmethod
+    def check_knobs(
+        *,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+        default_timeout_ms: float | None = None,
+        max_timeout_ms: float | None = None,
+        slow_query_ms: float | None = None,
+        **_unchecked: Any,
+    ) -> None:
+        """Raise :class:`ServeError` on an out-of-range constructor knob.
+
+        The constructor runs this; :class:`~repro.serve.registry.
+        ModelRegistry`, which builds its services lazily, runs it on its
+        ``service_kwargs`` up front so a bad knob fails at boot, not on
+        the first request.  NaN fails every comparison, so each check is
+        written to reject it.
+        """
+        if max_batch < 1:
+            raise ServeError(f"max_batch must be ≥ 1, got {max_batch}")
+        if not max_wait_ms >= 0:
+            raise ServeError(f"max_wait_ms must be ≥ 0, got {max_wait_ms}")
+        if queue_limit < 1:
+            raise ServeError(f"queue_limit must be ≥ 1, got {queue_limit}")
+        for name, value in (
+            ("default_timeout_ms", default_timeout_ms),
+            ("max_timeout_ms", max_timeout_ms),
+        ):
+            if value is not None and not 0 < value < math.inf:
+                raise ServeError(f"{name} must be finite and > 0, got {value}")
+        if slow_query_ms is not None and not slow_query_ms >= 0:
+            raise ServeError(f"slow_query_ms must be ≥ 0, got {slow_query_ms}")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -361,12 +389,15 @@ class ExplanationService:
 
     def _resolve_timeout_ms(self, timeout_ms: float | None) -> float | None:
         """Apply the deadline policy: default when unspecified, capped by
-        ``max_timeout_ms``.  A non-positive request value is a caller bug
-        and raises typed."""
+        ``max_timeout_ms``.  A non-positive or non-finite request value is
+        a caller bug and raises typed (``min(nan, cap)`` is NaN: a NaN
+        deadline would never expire)."""
         if timeout_ms is None:
             timeout_ms = self.default_timeout_ms
-        elif timeout_ms <= 0:
-            raise ServeError(f"timeout_ms must be > 0, got {timeout_ms}")
+        elif not 0 < timeout_ms < math.inf:
+            raise ServeError(
+                f"timeout_ms must be finite and > 0, got {timeout_ms}"
+            )
         if timeout_ms is not None and self.max_timeout_ms is not None:
             timeout_ms = min(timeout_ms, self.max_timeout_ms)
         return timeout_ms

@@ -12,6 +12,7 @@ switchboard (:mod:`repro.serve.faults`) that drives the chaos smoke.
 import asyncio
 import inspect
 import json
+import math
 import os
 import random
 import socket
@@ -510,21 +511,24 @@ class TestDeadlines:
 
 
 class TestDeadlineWireMapping:
-    def test_tcp_timeout_field_validation(self):
-        from repro.serve.server import ExplanationServer
+    def test_timeout_field_validation(self):
+        from repro.serve.ops import timeout_ms_of as validate
 
-        validate = ExplanationServer._requested_timeout_ms
         assert validate({"op": "explain"}) is None
         assert validate({"timeout_ms": 250}) == 250.0
-        for bad in (True, "soon", 0, -3, [5]):
+        for bad in (
+            True, "soon", 0, -3, [5],
+            math.nan, math.inf, -math.inf, 10**400,
+        ):
             with pytest.raises(ProtocolError, match="timeout_ms"):
                 validate({"timeout_ms": bad})
 
     def test_http_status_mapping(self):
         from repro.serve import http as serve_http
+        from repro.serve.ops import status_for
 
-        assert serve_http._status_for(DeadlineExceededError("late")) == 504
-        assert serve_http._status_for(ArtifactQuarantinedError("bad")) == 503
+        assert status_for(DeadlineExceededError("late")) == 504
+        assert status_for(ArtifactQuarantinedError("bad")) == 503
         assert serve_http._REASONS[504] == "Gateway Timeout"
         assert serve_http.RETRY_AFTER_S >= 1
 

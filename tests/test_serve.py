@@ -34,10 +34,12 @@ from repro.errors import (
 from repro.serve import (
     ExplanationServer,
     ExplanationService,
+    ModelRegistry,
     ServeClient,
     ServeResponseError,
     decode_request,
     encode_line,
+    run_stack,
 )
 from repro.serve.smoke import BANNER
 
@@ -105,8 +107,11 @@ class TestProtocol:
         assert decode_request(encode_line(payload).rstrip(b"\n")) == payload
 
     def test_rejects_non_json(self):
-        with pytest.raises(ProtocolError, match="JSON"):
-            decode_request(b"{nope")
+        # Not JSON at all, a non-finite literal (not JSON either), and
+        # nesting past the decoder's recursion limit.
+        for line in (b"{nope", b'{"op": "ping", "x": NaN}', b"[" * 100_000):
+            with pytest.raises(ProtocolError, match="JSON"):
+                decode_request(line)
 
     def test_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="object"):
@@ -342,20 +347,21 @@ def running_server(model, table):
 
     async def scenario(client_work):
         service = ExplanationService(model, table, max_batch=16, max_wait_ms=5)
-        server = ExplanationServer(service, port=0, allow_shutdown=True)
-        await server.start()
-        result: dict = {}
+        async with ModelRegistry.for_service(service) as registry:
+            server = ExplanationServer(registry, port=0, allow_shutdown=True)
+            await server.start()
+            result: dict = {}
 
-        def work():
-            try:
-                result["value"] = client_work(server.host, server.port)
-            except BaseException as exc:  # surfaced after join
-                result["error"] = exc
+            def work():
+                try:
+                    result["value"] = client_work(server.host, server.port)
+                except BaseException as exc:  # surfaced after join
+                    result["error"] = exc
 
-        thread = threading.Thread(target=work)
-        thread.start()
-        await server.serve_until_shutdown()
-        thread.join(timeout=30)
+            thread = threading.Thread(target=work)
+            thread.start()
+            await server.serve_until_shutdown()
+            thread.join(timeout=30)
         if "error" in result:
             raise result["error"]
         return result.get("value"), server, service
@@ -459,7 +465,8 @@ class TestServerWire:
 
         async def scenario():
             service = ExplanationService(model, table, max_batch=4, max_wait_ms=20)
-            server = ExplanationServer(service, port=0)
+            registry = ModelRegistry.for_service(service)
+            server = ExplanationServer(registry, port=0)
             await server.start()
             result: dict = {}
 
@@ -487,6 +494,7 @@ class TestServerWire:
                 await asyncio.sleep(0.02)
             thread.join(timeout=30)
             await server.stop()
+            await registry.stop()
             return result
 
         result = run(scenario())
@@ -496,24 +504,29 @@ class TestServerWire:
 
     def test_busy_port_is_typed_error_and_leaks_nothing(self, model, table):
         async def scenario():
-            first = ExplanationServer(
-                ExplanationService(model, table), port=0
+            first_registry = ModelRegistry.for_service(
+                ExplanationService(model, table)
             )
-            await first.start()
-            second_service = ExplanationService(model, table)
-            second = ExplanationServer(second_service, port=first.port)
-            with pytest.raises(ServeError, match="cannot bind"):
-                await second.start()
-            # The failed server's service was stopped, not leaked.
-            assert second_service._closed
-            await first.stop()
+            async with first_registry:
+                first = ExplanationServer(first_registry, port=0)
+                await first.start()
+                second_service = ExplanationService(model, table)
+                with pytest.raises(ServeError, match="cannot bind"):
+                    await run_stack(
+                        ModelRegistry.for_service(second_service),
+                        port=first.port,
+                    )
+                # The failed stack's service was stopped, not leaked.
+                assert second_service._closed
+                await first.stop()
 
         run(scenario())
 
     def test_shutdown_op_requires_opt_in(self, model, table):
         async def scenario():
             service = ExplanationService(model, table)
-            server = ExplanationServer(service, port=0, allow_shutdown=False)
+            registry = ModelRegistry.for_service(service)
+            server = ExplanationServer(registry, port=0, allow_shutdown=False)
             await server.start()
             outcome: dict = {}
 
@@ -529,6 +542,7 @@ class TestServerWire:
                 await asyncio.sleep(0.02)
             thread.join(timeout=10)
             await server.stop()
+            await registry.stop()
             return outcome
 
         outcome = run(scenario())

@@ -274,20 +274,21 @@ def running_server(model, table):
         service = ExplanationService(
             model, table, max_batch=16, max_wait_ms=5, **service_kwargs
         )
-        server = ExplanationServer(service, port=0, allow_shutdown=True)
-        await server.start()
-        result: dict = {}
+        async with ModelRegistry.for_service(service) as registry:
+            server = ExplanationServer(registry, port=0, allow_shutdown=True)
+            await server.start()
+            result: dict = {}
 
-        def work():
-            try:
-                result["value"] = client_work(server.host, server.port)
-            except BaseException as exc:
-                result["error"] = exc
+            def work():
+                try:
+                    result["value"] = client_work(server.host, server.port)
+                except BaseException as exc:
+                    result["error"] = exc
 
-        thread = threading.Thread(target=work)
-        thread.start()
-        await server.serve_until_shutdown()
-        thread.join(timeout=30)
+            thread = threading.Thread(target=work)
+            thread.start()
+            await server.serve_until_shutdown()
+            thread.join(timeout=30)
         if "error" in result:
             raise result["error"]
         return result.get("value"), service
