@@ -1,19 +1,18 @@
 """Speed harness: vectorized CI engine vs the per-stratum baseline.
 
 Times PC-stable skeleton learning on the ISSUE workload — a 10-node /
-5k-row discrete synthetic table — under the per-stratum χ² baseline
-(:class:`~repro.independence.contingency.ChiSquaredTest`) and the batched
-columnar engine (:class:`~repro.independence.engine.
-VectorizedChiSquaredTest`), asserting parity of the learned skeleton and a
-≥ 3× wall-clock speedup.
+5k-row discrete synthetic table — under the per-stratum χ² reference
+(``tests/oracles/contingency.py``) and the batched columnar engine
+(:class:`~repro.independence.engine.ChiSquaredTest`), asserting parity of
+the learned skeleton and a ≥ 3× wall-clock speedup.
 
 Opt-in (tier-1 excludes ``slow``):
 
     PYTHONPATH=src python -m pytest benchmarks/test_ci_engine_speed.py -m slow -q -s
 
-or render the markdown table directly::
+or render the markdown table directly (``tests`` holds the reference)::
 
-    PYTHONPATH=src python benchmarks/test_ci_engine_speed.py
+    PYTHONPATH=src:tests python benchmarks/test_ci_engine_speed.py
 """
 
 import time
@@ -21,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import contingency as reference
 
 from repro.bench import BenchTable, append_trajectory, fmt_seconds
 from repro.datasets.random_graphs import BayesNet, random_dag
 from repro.discovery import learn_skeleton
-from repro.independence import CachedCITest, ChiSquaredTest, VectorizedChiSquaredTest
+from repro.independence import CachedCITest, ChiSquaredTest
 
 pytestmark = pytest.mark.slow
 
@@ -63,11 +63,11 @@ def measure(table, repeats: int = 3):
     neither path carries a warm cache into the timing)."""
     nodes = table.dimensions
     t_old, r_old = best_of(
-        lambda: learn_skeleton(nodes, CachedCITest(ChiSquaredTest(table))), repeats
+        lambda: learn_skeleton(nodes, CachedCITest(reference.ChiSquaredTest(table))),
+        repeats,
     )
     t_new, r_new = best_of(
-        lambda: learn_skeleton(nodes, CachedCITest(VectorizedChiSquaredTest(table))),
-        repeats,
+        lambda: learn_skeleton(nodes, CachedCITest(ChiSquaredTest(table))), repeats
     )
     parity = (
         _edge_set(r_old.graph) == _edge_set(r_new.graph)

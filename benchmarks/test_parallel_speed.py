@@ -2,12 +2,12 @@
 
 The ISSUE 3 workload — a 12-node / 20k-row discrete synthetic table —
 timed under serial skeleton learning and under the sharded per-depth probe
-batches of :mod:`repro.parallel` with 4 process workers (threads measured
-for the matrix as well).  Asserts parity of the learned skeleton/sepsets
-unconditionally and a ≥ 2× wall-clock speedup for the process executor;
-the speedup assertion needs real cores, so it is skipped (after the
-trajectory entry is recorded with the honest ``cpu_count``) on boxes with
-fewer than 4 CPUs, where a parallel win is physically impossible.
+batches of :mod:`repro.parallel` with 4 process workers.  Asserts parity
+of the learned skeleton/sepsets unconditionally and a ≥ 2× wall-clock
+speedup for the process executor; the speedup assertion needs real cores,
+so it is skipped (after the trajectory entry is recorded with the honest
+``cpu_count``) on boxes with fewer than 4 CPUs, where a parallel win is
+physically impossible.
 
 Every run appends to ``benchmarks/BENCH_parallel.json`` via the shared
 :func:`repro.bench.append_trajectory` helper, which stamps workers,
@@ -32,8 +32,8 @@ import pytest
 from repro.bench import BenchTable, append_trajectory, fmt_seconds
 from repro.datasets.random_graphs import BayesNet, random_dag
 from repro.discovery import learn_skeleton
-from repro.independence import CachedCITest, VectorizedChiSquaredTest
-from repro.parallel import ProcessExecutor, ThreadExecutor
+from repro.independence import CachedCITest, ChiSquaredTest
+from repro.parallel import ProcessExecutor
 
 pytestmark = pytest.mark.slow
 
@@ -54,7 +54,7 @@ def make_workload(n_nodes: int = N_NODES, n_rows: int = N_ROWS, seed: int = SEED
 
 def _timed_skeleton(table, executor=None):
     """One cold-cache skeleton run; returns (seconds, SkeletonResult)."""
-    ci_test = CachedCITest(VectorizedChiSquaredTest(table))
+    ci_test = CachedCITest(ChiSquaredTest(table))
     start = time.perf_counter()
     result = learn_skeleton(table.dimensions, ci_test, executor=executor)
     return time.perf_counter() - start, result
@@ -62,23 +62,14 @@ def _timed_skeleton(table, executor=None):
 
 def measure(table, workers: int = WORKERS) -> dict:
     t_serial, serial = _timed_skeleton(table)
-    with ThreadExecutor(workers) as ex:
-        t_thread, threaded = _timed_skeleton(table, executor=ex)
     with ProcessExecutor(workers) as ex:
         t_process, processed = _timed_skeleton(table, executor=ex)
-    parity = (
-        serial.graph == threaded.graph
-        and serial.graph == processed.graph
-        and serial.sepsets == threaded.sepsets
-        and serial.sepsets == processed.sepsets
-    )
+    parity = serial.graph == processed.graph and serial.sepsets == processed.sepsets
     return {
         "n_nodes": len(table.dimensions),
         "n_rows": table.n_rows,
         "t_serial": t_serial,
-        "t_thread": t_thread,
         "t_process": t_process,
-        "speedup_thread": t_serial / t_thread,
         "speedup_process": t_serial / t_process,
         "parity": parity,
     }
@@ -87,14 +78,12 @@ def measure(table, workers: int = WORKERS) -> dict:
 def run_experiment(workers: int = WORKERS) -> BenchTable:
     table_out = BenchTable(
         "Parallel discovery — sharded skeleton learning vs serial",
-        ["Workload", "Serial", f"Thread×{workers}", f"Process×{workers}",
-         "Process speedup", "Parity"],
+        ["Workload", "Serial", f"Process×{workers}", "Process speedup", "Parity"],
     )
     m = measure(make_workload())
     table_out.add_row(
         f"{m['n_nodes']} nodes × {m['n_rows']} rows",
         fmt_seconds(m["t_serial"]),
-        fmt_seconds(m["t_thread"]),
         fmt_seconds(m["t_process"]),
         f"{m['speedup_process']:.1f}×",
         "identical" if m["parity"] else "MISMATCH",
@@ -112,8 +101,7 @@ class TestParallelSpeed:
         m = measure(make_workload())
         print(
             f"\nparallel skeleton {m['n_nodes']}n/{m['n_rows']}r: "
-            f"serial={m['t_serial']:.2f}s thread={m['t_thread']:.2f}s "
-            f"process={m['t_process']:.2f}s "
+            f"serial={m['t_serial']:.2f}s process={m['t_process']:.2f}s "
             f"speedup={m['speedup_process']:.2f}x on {os.cpu_count()} CPU(s)"
         )
         assert m["parity"], "sharded discovery changed the skeleton or sepsets"

@@ -4,10 +4,11 @@ Two measurements of the vectorized online hot path (ISSUE 4):
 
 * **single-query latency** — a high-cardinality (m = 240) AVG workload
   whose greedy canonical predicate is long, explained once through the
-  pre-refactor scalar search (``repro.core.xplainer_scalar`` probing every
-  candidate in a Python loop) and once through the batched kernels driven
-  by a :class:`~repro.data.query.QueryWorkspace`.  Asserts the ≥5×
-  speed-up (typically ~30×) and that both paths return the same predicate.
+  pre-refactor scalar search (``tests/oracles/xplainer_scalar.py``,
+  probing every candidate in a Python loop) and once through the batched
+  kernels driven by a :class:`~repro.data.query.QueryWorkspace`.  Asserts
+  the ≥5× speed-up (typically ~30×) and that both paths return the same
+  predicate.
 
 * **batch throughput** — a 200-query mixed serving batch (AVG/SUM/COUNT
   variants over both orientations of the SYN-B query) against one fitted
@@ -21,9 +22,9 @@ Opt-in (tier-1 excludes ``slow``):
 
     PYTHONPATH=src python -m pytest benchmarks/test_xplainer_speed.py -m slow -q -s
 
-or render the markdown table directly::
+or render the markdown table directly (``tests`` holds the reference)::
 
-    PYTHONPATH=src python benchmarks/test_xplainer_speed.py
+    PYTHONPATH=src:tests python benchmarks/test_xplainer_speed.py
 """
 
 import time
@@ -31,11 +32,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles.xplainer_scalar import avg_search_scalar
 
 from repro.bench import BenchTable, append_trajectory
 from repro.core import ExplainSession, XPlainerConfig, fit_model
 from repro.core.xplainer import explain_attribute
-from repro.core.xplainer_scalar import avg_search_scalar
 from repro.data import (
     Aggregate,
     AttributeProfile,

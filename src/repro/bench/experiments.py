@@ -20,7 +20,7 @@ from repro.datasets.syn_b import SynBCase
 from repro.discovery.fci import fci
 from repro.graph.metrics import GraphScores, score_graph
 from repro.independence.cache import CachedCITest
-from repro.independence.contingency import ChiSquaredTest
+from repro.independence.engine import ChiSquaredTest
 
 
 @dataclass

@@ -28,9 +28,9 @@ row slices for larger-than-RAM tables).
 without ``--model`` fits in-process, the legacy one-shot workflow), and
 ``serve`` boots the asyncio micro-batching server of :mod:`repro.serve`
 (JSON-lines over TCP; drain with SIGINT/SIGTERM).  ``fit``,
-``batch-explain`` and ``serve`` accept ``--workers N`` / ``--executor
-{serial,thread,process}`` to shard discovery probing and query serving
-across workers (default: the ``REPRO_WORKERS`` env, else serial).  The
+``batch-explain``, ``explain-view`` and ``serve`` accept ``--workers N``
+to shard discovery probing and query serving across N process workers
+(default: the ``REPRO_WORKERS`` env, else serial).  The
 batch query file is a JSON list of objects like
 ``{"s1": {"Location": "A"}, "s2": {"Location": "B"},
 "measure": "LungCancer", "agg": "AVG"}`` — the same spec one wire
@@ -75,7 +75,7 @@ from repro.data.table import Table
 from repro.errors import ReproError
 from repro.fd.graph import fd_graph_from_table
 from repro.graph.render import edge_list
-from repro.parallel import EXECUTOR_KINDS, REPRO_WORKERS_ENV, executor_scope
+from repro.parallel import REPRO_WORKERS_ENV, executor_scope
 from repro.serve import (
     DEFAULT_HOST,
     DEFAULT_MAX_BATCH,
@@ -148,21 +148,12 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """Parallel-execution flags (see repro.parallel): worker count and kind."""
+    """Parallel-execution flag (see repro.parallel): the worker count."""
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="shard work across N workers "
+        help="shard work across N process workers; 1 runs serial "
         f"(default: the {REPRO_WORKERS_ENV} env, else serial)",
     )
-    parser.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default=None,
-        help="worker kind when --workers > 1 (default: process)",
-    )
-
-
-def _executor_scope(args: argparse.Namespace):
-    """The executor resolved from ``--workers`` / ``--executor``."""
-    return executor_scope(args.workers, kind=args.executor)
 
 
 def _model_for(
@@ -289,7 +280,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     trace = obs.Trace(name="fit") if args.trace else None
     with obs.activate(trace):
-        with _executor_scope(args) as ex:
+        with executor_scope(args.workers) as ex:
             model = fit_model(table, executor=ex, **_fit_kwargs(args))
     path = model.save(args.out)
     if trace is not None:
@@ -413,7 +404,7 @@ def cmd_batch_explain(args: argparse.Namespace) -> int:
     # Validate every spec before any (potentially expensive) fit: a bad
     # entry must fail fast, not after minutes of discovery.
     queries = [query_from_spec(spec, table) for spec in specs]
-    with _executor_scope(args) as ex:
+    with executor_scope(args.workers) as ex:
         session = _session_for(args, table, executor=ex)
         reports = session.explain_batch(queries, executor=ex)
     answered = 0
@@ -439,7 +430,7 @@ def cmd_explain_view(args: argparse.Namespace) -> int:
     view = view_from_spec(
         {"by": args.by, "measure": args.measure, "agg": args.agg}, table
     )
-    with _executor_scope(args) as ex:
+    with executor_scope(args.workers) as ex:
         session = _session_for(args, table, executor=ex)
         summary = session.explain_view(
             view, orientation=args.orientation, executor=ex
@@ -469,7 +460,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         workers=args.workers,
-        executor_kind=args.executor,
         default_timeout_ms=args.default_timeout_ms,
         max_timeout_ms=args.max_timeout_ms,
         slow_query_ms=args.slow_query_ms,
@@ -491,9 +481,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         table = _table_for(args)
         # The in-process fit (no --model) shards its discovery probing over
-        # --workers/--executor too; the service builds its own serving
-        # executor from the same flags afterwards.
-        with _executor_scope(args) as ex:
+        # --workers too; the service builds its own serving executor from
+        # the same flag afterwards.
+        with executor_scope(args.workers) as ex:
             model = _model_for(args, table, executor=ex)
         service = ExplanationService(model, table, **service_kwargs)
         registry = ModelRegistry.for_service(service)

@@ -17,8 +17,7 @@ serving and lets many sessions share one persisted artifact.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.model import (
@@ -96,29 +95,11 @@ class XInsight:
         )
         return self
 
-    def _sync_learner(self) -> None:
-        """Legacy escape hatch: callers that swap ``_learner`` (e.g. to
-        apply background knowledge) still get a consistent session."""
-        if (
-            self._learner is not None
-            and self._model is not None
-            and self._learner.pag is not self._model.pag
-        ):
-            self._model = replace(
-                self._model,
-                pag=self._learner.pag,
-                fd_graph=self._learner.fd_graph,
-                sepsets=self._learner.fci_result.sepsets,
-            )
-            self._session = ExplainSession(self._model, self.table, config=self.config)
-
     @property
     def model(self) -> XInsightModel:
         """The persistable offline artifact (``model.save(path)`` to keep it)."""
         if self._model is None:
             raise QueryError("call fit() before querying (offline phase missing)")
-        self._sync_learner()
-        assert self._model is not None
         return self._model
 
     @property
@@ -126,8 +107,6 @@ class XInsight:
         """The online serving session over the fitted model."""
         if self._session is None:
             raise QueryError("call fit() before querying (offline phase missing)")
-        self._sync_learner()
-        assert self._session is not None
         return self._session
 
     @property
@@ -176,21 +155,8 @@ class XInsight:
         method: str = "auto",
         config: XPlainerConfig | None = None,
     ) -> XInsightReport:
-        """Answer a Why Query with ranked, typed explanations.
-
-        Calling this on an unfitted engine implicitly runs :meth:`fit` —
-        a deprecated convenience kept only on this facade.  The session
-        surface treats an unfitted state as an error instead.
-        """
-        if self._model is None:
-            warnings.warn(
-                "XInsight.explain() on an unfitted engine implicitly runs "
-                "fit(); call fit() explicitly, or use fit_model() + "
-                "ExplainSession for the offline/online split",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.fit()
+        """Answer a Why Query with ranked, typed explanations (requires an
+        explicit fit, like every online method)."""
         return self.session.explain(query, method=method, config=config)
 
     def explain_batch(

@@ -25,8 +25,8 @@ profile's *batched* Δ kernels (``delta_without_many`` /
 candidates as one leave-one-out stat sweep, brute force evaluates all 2^m
 subset probes as a single bit-matrix matmul, and the SUM candidate sweep is
 a cumulative-sum scan — no per-candidate Python probes anywhere on the hot
-path.  The pre-vectorization per-probe formulations are preserved in
-:mod:`repro.core.xplainer_scalar` as the parity/benchmark reference.
+path.  The pre-vectorization per-probe formulations live on under
+``tests/oracles/`` as the parity and benchmark reference.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def exact_responsibility(
     All 2^|complement| contingency probes are evaluated through the batched
     Δ kernels (chunked bit-matrix matmuls); enumeration order and
     tie-breaking match the scalar reference, so the returned Γ is the one
-    ``xplainer_scalar.exact_responsibility_scalar`` finds.
+    the per-probe ``exact_responsibility_scalar`` oracle finds.
     """
     delta_full = profile.delta_full()
     m = profile.n_filters

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.data.table import Table
 from repro.errors import DiscoveryError
-from repro.independence.contingency import ChiSquaredTest
+from repro.independence.engine import ChiSquaredTest
 
 
 class AnmDirection(enum.Enum):

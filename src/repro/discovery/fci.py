@@ -195,21 +195,12 @@ def warn_if_unsharded(ci_test: CITest, executor) -> None:
         )
 
 
-def default_ci_test(table, alpha: float = 0.05, vectorized: bool = True) -> CITest:
-    """The default discovery CI test for a Table: cached χ².
-
-    ``vectorized=True`` (the default) uses the batched columnar engine of
-    :mod:`repro.independence.engine`, which skeleton learning drives with
-    per-depth probe batches; ``vectorized=False`` selects the per-stratum
-    baseline (kept for parity testing and benchmarking).
-    """
+def default_ci_test(table, alpha: float = 0.05) -> CITest:
+    """The default discovery CI test for a Table: cached χ² over the batched
+    columnar engine of :mod:`repro.independence.engine`, which skeleton
+    learning drives with per-depth probe batches."""
     from repro.independence.cache import CachedCITest
-
-    if vectorized:
-        from repro.independence.engine import VectorizedChiSquaredTest
-
-        return CachedCITest(VectorizedChiSquaredTest(table, alpha=alpha))
-    from repro.independence.contingency import ChiSquaredTest
+    from repro.independence.engine import ChiSquaredTest
 
     return CachedCITest(ChiSquaredTest(table, alpha=alpha))
 
@@ -219,21 +210,19 @@ def fci_from_table(
     ci_test_factory=None,
     alpha: float = 0.05,
     columns: Sequence[str] | None = None,
-    vectorized: bool = True,
     workers: int | None = None,
     executor=None,
     **kwargs,
 ) -> FCIResult:
-    """Convenience entry point: FCI on a Table with a cached χ² test
-    (vectorized engine by default).
+    """Convenience entry point: FCI on a Table with a cached χ² test.
 
     ``workers`` / ``executor`` select parallel skeleton probing: pass a
-    worker count (process workers by default; ``workers=None`` reads the
-    ``REPRO_WORKERS`` env, falling back to serial) or a ready-made
-    :class:`repro.parallel.Executor`.  Discovery output is identical to
-    the serial path either way.  Sharding requires the batch-capable
-    engine: with ``vectorized=False`` (or a factory whose test lacks
-    ``supports_batch``) an explicit multi-worker request warns and runs
+    worker count (more than one means process workers; ``workers=None``
+    reads the ``REPRO_WORKERS`` env, falling back to serial) or a
+    ready-made :class:`repro.parallel.Executor`.  Discovery output is
+    identical to the serial path either way.  Sharding requires a
+    batch-capable test: with a factory whose test lacks
+    ``supports_batch`` an explicit multi-worker request warns and runs
     serial.
     """
     from repro.parallel import executor_scope
@@ -241,7 +230,7 @@ def fci_from_table(
     if columns is None:
         columns = table.dimensions
     if ci_test_factory is None:
-        ci_test = default_ci_test(table, alpha=alpha, vectorized=vectorized)
+        ci_test = default_ci_test(table, alpha=alpha)
     else:
         ci_test = ci_test_factory(table)
     with executor_scope(workers, executor) as ex:

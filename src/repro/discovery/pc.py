@@ -77,22 +77,19 @@ def pc_from_table(
     table,
     alpha: float = 0.05,
     columns: Sequence[str] | None = None,
-    vectorized: bool = True,
     workers: int | None = None,
     executor=None,
     **kwargs,
 ) -> PCResult:
-    """Convenience entry point: PC on a Table with a cached χ² test
-    (vectorized engine by default), mirroring ``fci_from_table`` — including
-    its ``workers``/``executor`` kwargs for sharded skeleton probing (which
-    need the batch-capable engine; ``vectorized=False`` with multiple
-    workers warns and runs serial)."""
+    """Convenience entry point: PC on a Table with a cached χ² test,
+    mirroring ``fci_from_table`` — including its ``workers``/``executor``
+    kwargs for sharded skeleton probing."""
     from repro.discovery.fci import default_ci_test, warn_if_unsharded
     from repro.parallel import executor_scope
 
     if columns is None:
         columns = table.dimensions
-    ci_test = default_ci_test(table, alpha=alpha, vectorized=vectorized)
+    ci_test = default_ci_test(table, alpha=alpha)
     with executor_scope(workers, executor) as ex:
         warn_if_unsharded(ci_test, ex)
         return pc(tuple(columns), ci_test, executor=ex, **kwargs)

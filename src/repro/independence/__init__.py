@@ -2,12 +2,11 @@
 
 from repro.independence.base import CITest, CITestResult
 from repro.independence.cache import CachedCITest
-from repro.independence.contingency import ChiSquaredTest, GTest
 from repro.independence.engine import (
     BatchCITester,
+    ChiSquaredTest,
     EncodedDataset,
-    VectorizedChiSquaredTest,
-    VectorizedGTest,
+    GTest,
 )
 from repro.independence.fisher_z import FisherZTest
 from repro.independence.oracle import OracleCITest
@@ -24,6 +23,4 @@ __all__ = [
     "GTest",
     "OracleCITest",
     "PermutationCITest",
-    "VectorizedChiSquaredTest",
-    "VectorizedGTest",
 ]

@@ -1,8 +1,9 @@
 """Vectorized CI-test engine: columnar encoding + batched contingency tests.
 
-The per-stratum path in :mod:`repro.independence.contingency` re-derives the
-stratification of the conditioning set Z for every probe, then walks the
-observed strata in a Python loop.  Skeleton learning issues thousands of
+A per-stratum χ² test re-derives the stratification of the conditioning
+set Z for every probe, then walks the observed strata in a Python loop
+(that formulation survives as the parity reference in
+``tests/oracles/contingency.py``).  Skeleton learning issues thousands of
 probes against the same columns, so this module restructures the hot path
 around three ideas:
 
@@ -39,9 +40,9 @@ to an equivalent sparse path that counts only the *observed* cells via
 ``np.unique`` and reconstructs the Pearson zero-cell contribution in closed
 form; both paths return identical statistics.
 
-Numerical parity: statistics and degrees of freedom match the baseline
-tests cell-for-cell; only the floating-point summation order differs, so
-agreement is to ~1e-12 relative (the parity suite asserts 1e-9).
+Numerical parity: statistics and degrees of freedom match the per-stratum
+reference cell-for-cell; only the floating-point summation order differs,
+so agreement is to ~1e-12 relative (the parity suite asserts 1e-9).
 """
 
 from __future__ import annotations
@@ -72,34 +73,6 @@ _DENSE_LIMIT = 1 << 24
 # without a cap the cache would hold one array per set for the dataset's
 # lifetime.
 _STRATA_CACHE_SIZE = 256
-
-
-class _SharedStrata:
-    """Publish-once snapshot of computed strata, shared by every fork.
-
-    ``snapshot`` is only ever *replaced* with an extended copy, never
-    mutated in place, so concurrent readers (one forked
-    :class:`EncodedDataset` per :class:`~repro.parallel.ThreadExecutor`
-    worker) always observe a complete dict without any locking.  Two racing
-    publishers can lose one entry to the other's swap — that is just a
-    future cache miss, never corruption.
-    """
-
-    __slots__ = ("snapshot",)
-
-    def __init__(self) -> None:
-        self.snapshot: dict[tuple[str, ...], tuple[np.ndarray, int]] = {}
-
-    def get(self, key: tuple[str, ...]) -> tuple[np.ndarray, int] | None:
-        return self.snapshot.get(key)
-
-    def publish(
-        self, key: tuple[str, ...], value: tuple[np.ndarray, int], cap: int
-    ) -> None:
-        snapshot = self.snapshot
-        if key in snapshot or len(snapshot) >= cap:
-            return
-        self.snapshot = {**snapshot, key: value}
 
 
 def _factorize(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple[Hashable, ...]]:
@@ -149,7 +122,6 @@ class EncodedDataset:
         self.n_rows = lengths.pop() if lengths else 0
         # (sorted z names) -> (compressed stratum codes, n observed strata)
         self._strata_cache: dict[tuple[str, ...], tuple[np.ndarray, int]] = {}
-        self._shared_strata = _SharedStrata()
         self._store: "ColumnStore | None" = None
         self._store_columns: frozenset[str] = frozenset()
         self._chunk_rows: int | None = None
@@ -168,7 +140,6 @@ class EncodedDataset:
         state = dict(self.__dict__)
         state["_strata_cache"] = {}
         state["_observed_cache"] = {}
-        state["_shared_strata"] = None
         if self._store_columns:
             state["_codes"] = {
                 name: (None if name in self._store_columns else col)
@@ -178,8 +149,6 @@ class EncodedDataset:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self._shared_strata is None:
-            self._shared_strata = _SharedStrata()
         if self._store_columns:
             assert self._store is not None
             self._codes = {
@@ -190,25 +159,6 @@ class EncodedDataset:
                 )
                 for name, col in self._codes.items()
             }
-
-    def fork(self) -> "EncodedDataset":
-        """A view sharing the (immutable) code arrays but owning a private
-        stratum cache — one per worker thread, so the unlocked LRU cache is
-        never touched concurrently.  All forks of one dataset additionally
-        share a read-only published-strata snapshot: a stratum partition
-        computed by any fork (or the parent) is visible to the others, so
-        thread workers stop recomputing shared conditioning sets."""
-        clone = object.__new__(EncodedDataset)
-        clone._codes = self._codes
-        clone._categories = self._categories
-        clone.n_rows = self.n_rows
-        clone._strata_cache = {}
-        clone._shared_strata = self._shared_strata
-        clone._store = self._store
-        clone._store_columns = self._store_columns
-        clone._chunk_rows = self._chunk_rows
-        clone._observed_cache = {}
-        return clone
 
     # ------------------------------------------------------------------
     # Construction
@@ -250,7 +200,6 @@ class EncodedDataset:
         self._categories = {name: store.categories(name) for name in columns}
         self.n_rows = store.n_rows
         self._strata_cache = {}
-        self._shared_strata = _SharedStrata()
         self._store = store
         self._store_columns = frozenset(columns)
         self._chunk_rows = chunk_rows
@@ -302,20 +251,12 @@ class EncodedDataset:
         the observed values, so codes are contiguous in ``0..n_strata-1``.
         Cached per conditioning *set* (bounded LRU): the row partition (and
         hence every statistic built on it) is invariant under Z ordering.
-        Misses consult the fork-shared published snapshot before computing,
-        and publish what they compute (see :meth:`fork`).
         """
         names = tuple(sorted(z, key=repr))
         hit = self._strata_cache.get(names)
         if hit is not None:
             self._strata_cache[names] = self._strata_cache.pop(names)  # LRU touch
             return hit
-        shared = self._shared_strata.get(names)
-        if shared is not None:
-            while len(self._strata_cache) >= _STRATA_CACHE_SIZE:
-                self._strata_cache.pop(next(iter(self._strata_cache)))
-            self._strata_cache[names] = shared
-            return shared
         if not names:
             out = (np.zeros(self.n_rows, dtype=np.int64), 1)
         else:
@@ -333,7 +274,6 @@ class EncodedDataset:
         while len(self._strata_cache) >= _STRATA_CACHE_SIZE:
             self._strata_cache.pop(next(iter(self._strata_cache)))
         self._strata_cache[names] = out
-        self._shared_strata.publish(names, out, _STRATA_CACHE_SIZE)
         return out
 
     # ------------------------------------------------------------------
@@ -575,7 +515,7 @@ class CIProbeShardTask:
 
     def build_state(self) -> "BatchCITester":
         return BatchCITester(
-            self.data.fork(),
+            self.data,
             alpha=self.alpha,
             min_stratum_rows=self.min_stratum_rows,
             statistic_kind=self.statistic_kind,
@@ -594,8 +534,7 @@ class BatchCITester(CITest):
     the :class:`EncodedDataset` cache and issuing one vectorized survival-
     function call for all p-values.  ``statistic_kind`` selects Pearson χ²
     (``"chi2"``) or the likelihood-ratio G statistic (``"g"``); results are
-    numerically equivalent to :class:`~repro.independence.contingency.
-    ChiSquaredTest` / ``GTest``.
+    numerically equivalent to the per-stratum reference tests.
     """
 
     supports_batch = True
@@ -682,13 +621,13 @@ class BatchCITester(CITest):
         ]
 
 
-class VectorizedChiSquaredTest(BatchCITester):
-    """Vectorized Pearson χ² test — batch-capable ChiSquaredTest parity."""
+class ChiSquaredTest(BatchCITester):
+    """Pearson χ² test of conditional independence on discrete columns."""
 
     statistic_kind = "chi2"
 
 
-class VectorizedGTest(BatchCITester):
-    """Vectorized likelihood-ratio G test — batch-capable GTest parity."""
+class GTest(BatchCITester):
+    """Likelihood-ratio (G) test: 2·Σ obs·ln(obs/exp), same asymptotics as χ²."""
 
     statistic_kind = "g"

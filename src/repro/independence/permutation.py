@@ -15,7 +15,31 @@ import numpy as np
 
 from repro.data.table import Table
 from repro.independence.base import CITest, CITestResult, Var
-from repro.independence.contingency import ChiSquaredTest
+
+
+def _stratum_tables(
+    cx: np.ndarray,
+    cy: np.ndarray,
+    strata: np.ndarray,
+    kx: int,
+    ky: int,
+) -> Iterable[np.ndarray]:
+    """Yield the X×Y count matrix of every non-empty stratum."""
+    order = np.argsort(strata, kind="stable")
+    sorted_strata = strata[order]
+    boundaries = np.flatnonzero(np.diff(sorted_strata)) + 1
+    for chunk in np.split(order, boundaries):
+        joint = cx[chunk] * ky + cy[chunk]
+        counts = np.bincount(joint, minlength=kx * ky).reshape(kx, ky)
+        yield counts
+
+
+def _reduce_table(counts: np.ndarray) -> np.ndarray:
+    """Drop all-zero rows and columns (unobserved categories in a stratum)."""
+    counts = counts[counts.sum(axis=1) > 0]
+    if counts.size:
+        counts = counts[:, counts.sum(axis=0) > 0]
+    return counts
 
 
 class PermutationCITest(CITest):
@@ -32,11 +56,8 @@ class PermutationCITest(CITest):
         self.table = table
         self.n_permutations = n_permutations
         self._rng = np.random.default_rng(seed)
-        self._chi = ChiSquaredTest(table)
 
     def _statistic(self, cx, cy, strata, kx, ky) -> float:
-        from repro.independence.contingency import _reduce_table, _stratum_tables
-
         stat = 0.0
         for counts in _stratum_tables(cx, cy, strata, kx, ky):
             counts = _reduce_table(counts)

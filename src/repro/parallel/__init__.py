@@ -1,21 +1,18 @@
-"""Parallel execution subsystem: pluggable executors + deterministic shards.
+"""Parallel execution subsystem: serial/process executors + deterministic shards.
 
 Used by both phases of the pipeline: skeleton learning shards each
 PC-stable depth's CI-probe batch across workers, and the serving layer
 fans ``explain_batch`` query streams out over one shared model artifact.
-See :mod:`repro.parallel.executor` for the executor matrix and
-:mod:`repro.parallel.plan` for the determinism guarantees.
+See :mod:`repro.parallel.executor` for how the worker count picks the
+executor and :mod:`repro.parallel.plan` for the determinism guarantees.
 """
 
 from repro.parallel.executor import (
-    DEFAULT_KIND,
-    EXECUTOR_KINDS,
     REPRO_WORKERS_ENV,
     Executor,
     ProcessExecutor,
     SerialExecutor,
     ShardTask,
-    ThreadExecutor,
     default_workers,
     executor_scope,
     make_executor,
@@ -23,15 +20,12 @@ from repro.parallel.executor import (
 from repro.parallel.plan import Shard, plan_shards, split
 
 __all__ = [
-    "DEFAULT_KIND",
-    "EXECUTOR_KINDS",
     "Executor",
     "ProcessExecutor",
     "REPRO_WORKERS_ENV",
     "SerialExecutor",
     "Shard",
     "ShardTask",
-    "ThreadExecutor",
     "default_workers",
     "executor_scope",
     "make_executor",

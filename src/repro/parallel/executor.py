@@ -1,4 +1,4 @@
-"""Pluggable executors: serial, thread-pool and process-pool shard mapping.
+"""Executors: serial and process-pool shard mapping.
 
 The parallel subsystem runs *shard tasks* — small picklable objects obeying
 the :class:`ShardTask` protocol — over the shard payloads produced by
@@ -14,26 +14,23 @@ verdicts ever cross a process boundary; the heavyweight state never does.
 independent of worker scheduling — the invariant every parity guarantee in
 this repo is built on.
 
-Executor choice in one line: :class:`SerialExecutor` is the reference
-(and the ``workers <= 1`` fast path), :class:`ThreadExecutor` wins when the
-shard work releases the GIL (numpy-heavy CI batches) or is I/O bound, and
-:class:`ProcessExecutor` wins for Python-heavy work (explanation search)
-and large CPU-bound sweeps.  ``REPRO_WORKERS`` sets the fleet-wide default
-worker count for every entry point that takes ``workers=None``.
+Executor choice in one line: the worker count picks it — one worker is
+:class:`SerialExecutor` (the reference), more is :class:`ProcessExecutor`.
+There is no thread pool: the CI and XPlainer kernels hold the GIL for most
+of their run, and on a 2-vCPU host threads lost to serial on skeleton
+learning and view serving and won a 200k-row fit by 9%.
+``REPRO_WORKERS`` sets the fleet-wide default worker count for every entry
+point that takes ``workers=None``.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import threading
+import signal
 import warnings
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
@@ -42,9 +39,6 @@ from repro.errors import ReproError
 LOG = logging.getLogger("repro.parallel")
 
 REPRO_WORKERS_ENV = "REPRO_WORKERS"
-
-EXECUTOR_KINDS = ("serial", "thread", "process")
-DEFAULT_KIND = "process"
 
 #: How many pool rebuilds one ``ProcessExecutor.map`` call may spend on
 #: worker deaths before it degrades to in-process serial execution.
@@ -109,44 +103,6 @@ class SerialExecutor(Executor):
         return [task.run(state, payload) for payload in payloads]
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool executor with per-thread task state.
-
-    Each worker thread lazily builds its own state via ``build_state`` —
-    thread-local, so tasks whose state holds unlocked caches (e.g. an
-    :class:`~repro.independence.engine.EncodedDataset` stratum cache) stay
-    race-free without any synchronization.  The pool persists across
-    ``map`` calls; a new task simply rebuilds the thread-local state.
-    """
-
-    kind = "thread"
-
-    def __init__(self, workers: int) -> None:
-        super().__init__(workers)
-        self._pool: ThreadPoolExecutor | None = None
-        self._local = threading.local()
-
-    def _state_for(self, task: ShardTask) -> Any:
-        if getattr(self._local, "task", None) is not task:
-            self._local.state = task.build_state()
-            self._local.task = task
-        return self._local.state
-
-    def map(self, task: ShardTask, payloads: Sequence[Any]) -> list[Any]:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-shard"
-            )
-        return list(
-            self._pool.map(lambda p: task.run(self._state_for(task), p), payloads)
-        )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 # Per-worker-process globals, installed by the pool initializer.  Each
 # ProcessPoolExecutor owns its worker processes, so two live executors can
 # never collide on these.
@@ -156,6 +112,12 @@ _WORKER_STATE: Any = None
 
 def _process_init(task: ShardTask) -> None:
     global _WORKER_TASK, _WORKER_STATE
+    # A forked worker inherits the parent's signal set-up, including a
+    # serving event loop's signal wakeup fd.  The SIGTERM a broken pool
+    # sends its surviving workers would then reach the parent's loop and
+    # drain the whole server.  A worker dies on SIGTERM and tells no one.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_TASK = task
     _WORKER_STATE = task.build_state()
 
@@ -348,28 +310,20 @@ def default_workers() -> int:
     return workers
 
 
-def make_executor(workers: int, kind: str | None = None) -> Executor:
-    """Build an executor: serial for one worker, else ``kind`` (default
-    :data:`DEFAULT_KIND`, i.e. process workers)."""
-    if kind is not None and kind not in EXECUTOR_KINDS:
-        raise ReproError(
-            f"unknown executor kind {kind!r}; choose from {EXECUTOR_KINDS}"
-        )
-    if workers <= 1 and kind in (None, "serial"):
-        return SerialExecutor()
-    kind = kind or DEFAULT_KIND
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(workers)
-    return ProcessExecutor(workers)
+def make_executor(workers: int) -> Executor:
+    """Build an executor: serial for one worker, process workers for more.
+
+    Fewer than one worker raises :class:`ReproError` (from the executor
+    constructor) rather than running serial: the count arrives from the
+    CLI and the service knobs, where a typo must not go unnoticed.
+    """
+    return SerialExecutor() if workers == 1 else ProcessExecutor(workers)
 
 
 @contextmanager
 def executor_scope(
     workers: int | None = None,
     executor: Executor | None = None,
-    kind: str | None = None,
 ) -> Iterator[Executor]:
     """Resolve the ``workers=`` / ``executor=`` kwargs of an entry point.
 
@@ -381,7 +335,7 @@ def executor_scope(
     if executor is not None:
         yield executor
         return
-    own = make_executor(default_workers() if workers is None else workers, kind)
+    own = make_executor(default_workers() if workers is None else workers)
     try:
         yield own
     finally:

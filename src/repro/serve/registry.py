@@ -150,7 +150,7 @@ class ModelRegistry:
         name one.
     service_kwargs:
         Knobs applied to every per-model service (``max_batch``,
-        ``max_wait_ms``, ``queue_limit``, ``workers``, ``executor_kind``).
+        ``max_wait_ms``, ``queue_limit``, ``workers``, ...).
     """
 
     def __init__(

@@ -220,9 +220,10 @@ class ExplanationService:
     queue_limit:
         Admission bound; requests beyond it are rejected with
         :class:`ServiceOverloadedError`.
-    workers, executor_kind:
-        The :mod:`repro.parallel` fan-out each flush uses.  ``workers``
-        defaults to the ``REPRO_WORKERS`` env; 1 means in-process serial.
+    workers:
+        The :mod:`repro.parallel` fan-out each flush uses: 1 means
+        in-process serial, more means that many process workers.  Defaults
+        to the ``REPRO_WORKERS`` env.
         The per-worker sessions are private (session affinity), so only
         the primary session's ``cache_info`` appears in the stats.
     default_timeout_ms, max_timeout_ms:
@@ -257,7 +258,6 @@ class ExplanationService:
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         workers: int | None = None,
-        executor_kind: str | None = None,
         default_timeout_ms: float | None = None,
         max_timeout_ms: float | None = None,
         slow_query_ms: float | None = None,
@@ -268,6 +268,7 @@ class ExplanationService:
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             queue_limit=queue_limit,
+            workers=workers,
             default_timeout_ms=default_timeout_ms,
             max_timeout_ms=max_timeout_ms,
             slow_query_ms=slow_query_ms,
@@ -279,7 +280,7 @@ class ExplanationService:
         self.max_wait = max_wait_ms / 1e3
         self.queue_limit = queue_limit
         self.workers = default_workers() if workers is None else workers
-        self.executor = make_executor(self.workers, executor_kind)
+        self.executor = make_executor(self.workers)
         self.default_timeout_ms = default_timeout_ms
         self.max_timeout_ms = max_timeout_ms
         self.stats = ServerStats(fingerprint=model.fingerprint())
@@ -300,6 +301,7 @@ class ExplanationService:
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
+        workers: int | None = None,
         default_timeout_ms: float | None = None,
         max_timeout_ms: float | None = None,
         slow_query_ms: float | None = None,
@@ -319,6 +321,8 @@ class ExplanationService:
             raise ServeError(f"max_wait_ms must be ≥ 0, got {max_wait_ms}")
         if queue_limit < 1:
             raise ServeError(f"queue_limit must be ≥ 1, got {queue_limit}")
+        if workers is not None and workers < 1:
+            raise ServeError(f"workers must be ≥ 1, got {workers}")
         for name, value in (
             ("default_timeout_ms", default_timeout_ms),
             ("max_timeout_ms", max_timeout_ms),
@@ -540,8 +544,8 @@ class ExplanationService:
 
     @property
     def worker_restarts(self) -> int:
-        """Process-pool rebuilds forced by worker deaths (0 for
-        serial/thread executors) — the self-healing counter."""
+        """Process-pool rebuilds forced by worker deaths (0 for the
+        serial executor) — the self-healing counter."""
         return getattr(self.executor, "worker_restarts", 0)
 
     @property

@@ -430,7 +430,7 @@ def _serve_command(csv_path: str, model_path: str) -> list:
     return [
         sys.executable, "-m", "repro", "serve", csv_path,
         "--model", model_path, "--port", "0",
-        "--workers", "2", "--executor", "process",
+        "--workers", "2",
         "--max-wait-ms", "25", "--allow-shutdown",
     ]
 

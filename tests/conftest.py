@@ -13,6 +13,7 @@ import pytest
 from repro.data import Table
 from repro.graph import MixedGraph, dag_from_parents
 from repro.independence import OracleCITest
+from repro.parallel import ProcessExecutor
 
 GLOBAL_SEED = 0
 
@@ -71,3 +72,11 @@ def small_chain_table() -> Table:
 def rng() -> np.random.Generator:
     """A fresh, deterministically seeded generator per test."""
     return np.random.default_rng(GLOBAL_SEED)
+
+
+@pytest.fixture(scope="module")
+def process_pair():
+    """One 2-worker process pool per test module (pool start-up dominates
+    the small parity workloads; sharing it keeps tier-1 fast)."""
+    with ProcessExecutor(2) as ex:
+        yield ex

@@ -1,9 +1,10 @@
 """Discovery-parity suite: vectorized CI engine vs the per-stratum baseline.
 
 The vectorized engine (repro.independence.engine) must be a *refactoring*
-of the statistics, not a new test: identical statistics/p-values (1e-9)
-per probe, and identical skeletons, sepsets, PAGs and XLearner output on
-the synthetic benchmarks and the m-separation oracle datasets.
+of the per-stratum reference tests (tests/oracles/contingency.py), not a
+new test: identical statistics/p-values (1e-9) per probe, and identical
+skeletons, sepsets, PAGs and XLearner output on the synthetic benchmarks
+and the m-separation oracle datasets.
 """
 
 from itertools import combinations
@@ -11,20 +12,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 from conftest import random_parent_map
+from oracles import contingency as reference
 
 from repro.core.xlearner import xlearner
 from repro.data.discretize import discretize
 from repro.datasets import generate_syn_a, generate_syn_b
 from repro.discovery import fci, fci_from_table, learn_skeleton, pc
 from repro.graph import dag_from_parents, latent_projection
-from repro.independence import (
-    CachedCITest,
-    ChiSquaredTest,
-    GTest,
-    OracleCITest,
-    VectorizedChiSquaredTest,
-    VectorizedGTest,
-)
+from repro.independence import CachedCITest, ChiSquaredTest, GTest, OracleCITest
 
 ATOL = 1e-9
 
@@ -62,6 +57,30 @@ def assert_result_parity(old, new):
     assert abs(old.p_value - new.p_value) <= ATOL, (old, new)
 
 
+def reachable_arrays(root):
+    """Every ndarray reachable from ``root`` through instance attributes,
+    slots and container items."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif not isinstance(obj, (str, bytes, int, float, type)):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for slot in getattr(type(obj), "__slots__", ()):
+                if hasattr(obj, slot):
+                    stack.append(getattr(obj, slot))
+    return arrays
+
+
 def edge_set(graph):
     return {frozenset((u, v)) for u, v, _, _ in graph.edges()}
 
@@ -77,7 +96,7 @@ def mark_signature(graph):
 class TestProbeParity:
     @pytest.mark.parametrize(
         "old_cls,new_cls",
-        [(ChiSquaredTest, VectorizedChiSquaredTest), (GTest, VectorizedGTest)],
+        [(reference.ChiSquaredTest, ChiSquaredTest), (reference.GTest, GTest)],
         ids=["chi2", "g"],
     )
     def test_syn_a_probes(self, syn_a_table, old_cls, new_cls):
@@ -88,7 +107,7 @@ class TestProbeParity:
 
     @pytest.mark.parametrize(
         "old_cls,new_cls",
-        [(ChiSquaredTest, VectorizedChiSquaredTest), (GTest, VectorizedGTest)],
+        [(reference.ChiSquaredTest, ChiSquaredTest), (reference.GTest, GTest)],
         ids=["chi2", "g"],
     )
     def test_syn_b_probes(self, syn_b_table, old_cls, new_cls):
@@ -100,7 +119,7 @@ class TestProbeParity:
     def test_batch_matches_singles(self, syn_a_table):
         columns = syn_a_table.dimensions[:6]
         probes = probe_plan(columns, max_z=2)
-        test = VectorizedChiSquaredTest(syn_a_table)
+        test = ChiSquaredTest(syn_a_table)
         for probe, batched in zip(probes, test.test_batch(probes)):
             single = test.test(*probe)
             assert batched.statistic == single.statistic
@@ -109,8 +128,8 @@ class TestProbeParity:
 
     def test_sparse_path_matches_dense(self, syn_a_table):
         columns = syn_a_table.dimensions[:6]
-        dense = VectorizedChiSquaredTest(syn_a_table)
-        sparse = VectorizedChiSquaredTest(syn_a_table, dense_limit=1)
+        dense = ChiSquaredTest(syn_a_table)
+        sparse = ChiSquaredTest(syn_a_table, dense_limit=1)
         for x, y, z in probe_plan(columns, max_z=2):
             assert_result_parity(dense.test(x, y, z), sparse.test(x, y, z))
 
@@ -120,16 +139,25 @@ class TestProbeParity:
         data = EncodedDataset.from_arrays(
             {f"c{i}": [0, 1, i % 2] for i in range(12)}
         )
-        columns = data.columns
-        for i, x in enumerate(columns):
-            for y in columns[i + 1 :]:
-                data.strata((x, y))
+        conditioning_sets = [
+            z for size in range(1, 5) for z in combinations(data.columns, size)
+        ]
+        assert len(conditioning_sets) > 2 * _STRATA_CACHE_SIZE
+        for z in conditioning_sets:
+            data.strata(z)
         assert len(data._strata_cache) <= _STRATA_CACHE_SIZE
+        # No second store may keep strata alive beside the LRU: count every
+        # array reachable from the dataset that is not a code column.
+        codes = {id(data.codes(name)) for name in data.columns}
+        stratum_arrays = {
+            id(a) for a in reachable_arrays(data) if id(a) not in codes
+        }
+        assert len(stratum_arrays) <= _STRATA_CACHE_SIZE
 
     def test_min_stratum_rows_respected(self, syn_a_table):
         columns = syn_a_table.dimensions[:5]
-        old = ChiSquaredTest(syn_a_table, min_stratum_rows=30)
-        new = VectorizedChiSquaredTest(syn_a_table, min_stratum_rows=30)
+        old = reference.ChiSquaredTest(syn_a_table, min_stratum_rows=30)
+        new = ChiSquaredTest(syn_a_table, min_stratum_rows=30)
         for x, y, z in probe_plan(columns, max_z=2):
             assert_result_parity(old.test(x, y, z), new.test(x, y, z))
 
@@ -137,19 +165,19 @@ class TestProbeParity:
 class TestSkeletonParity:
     def test_syn_a_skeleton_identical(self, syn_a_table):
         nodes = syn_a_table.dimensions
-        old = learn_skeleton(nodes, CachedCITest(ChiSquaredTest(syn_a_table)))
-        new = learn_skeleton(
-            nodes, CachedCITest(VectorizedChiSquaredTest(syn_a_table))
+        old = learn_skeleton(
+            nodes, CachedCITest(reference.ChiSquaredTest(syn_a_table))
         )
+        new = learn_skeleton(nodes, CachedCITest(ChiSquaredTest(syn_a_table)))
         assert edge_set(old.graph) == edge_set(new.graph)
         assert old.sepsets == new.sepsets
 
     def test_syn_b_skeleton_identical(self, syn_b_table):
         nodes = syn_b_table.dimensions
-        old = learn_skeleton(nodes, CachedCITest(ChiSquaredTest(syn_b_table)))
-        new = learn_skeleton(
-            nodes, CachedCITest(VectorizedChiSquaredTest(syn_b_table))
+        old = learn_skeleton(
+            nodes, CachedCITest(reference.ChiSquaredTest(syn_b_table))
         )
+        new = learn_skeleton(nodes, CachedCITest(ChiSquaredTest(syn_b_table)))
         assert edge_set(old.graph) == edge_set(new.graph)
         assert old.sepsets == new.sepsets
 
@@ -168,21 +196,25 @@ class TestSkeletonParity:
 
 class TestDiscoveryParity:
     def test_fci_pag_identical_on_syn_a(self, syn_a_table):
-        old = fci_from_table(syn_a_table, vectorized=False, max_depth=3)
-        new = fci_from_table(syn_a_table, vectorized=True, max_depth=3)
+        old = fci_from_table(
+            syn_a_table,
+            lambda t: CachedCITest(reference.ChiSquaredTest(t)),
+            max_depth=3,
+        )
+        new = fci_from_table(syn_a_table, max_depth=3)
         assert mark_signature(old.pag) == mark_signature(new.pag)
         assert old.sepsets == new.sepsets
 
     def test_pc_cpdag_identical_on_syn_b(self, syn_b_table):
         nodes = syn_b_table.dimensions
-        old = pc(nodes, CachedCITest(ChiSquaredTest(syn_b_table)))
-        new = pc(nodes, CachedCITest(VectorizedChiSquaredTest(syn_b_table)))
+        old = pc(nodes, CachedCITest(reference.ChiSquaredTest(syn_b_table)))
+        new = pc(nodes, CachedCITest(ChiSquaredTest(syn_b_table)))
         assert mark_signature(old.cpdag) == mark_signature(new.cpdag)
 
     def test_xlearner_pag_identical_on_syn_a(self, syn_a_table):
         old = xlearner(
             syn_a_table,
-            ci_test=CachedCITest(ChiSquaredTest(syn_a_table)),
+            ci_test=CachedCITest(reference.ChiSquaredTest(syn_a_table)),
             max_depth=3,
         )
         new = xlearner(syn_a_table, max_depth=3)  # default: vectorized engine
@@ -205,67 +237,3 @@ class TestDiscoveryParity:
         bat = fci(observed, BatchedOracle(mag), max_dsep_size=None)
         assert mark_signature(seq.pag) == mark_signature(bat.pag)
         assert seq.sepsets == bat.sepsets
-
-
-class TestForkSharedStrata:
-    """EncodedDataset.fork publishes computed strata read-only to siblings
-    (the ROADMAP "read-mostly shared stratum cache" item): a conditioning
-    set stratified by any fork is reused — not recomputed — by the others,
-    while each fork keeps its private unlocked LRU."""
-
-    def data(self):
-        from repro.independence.engine import EncodedDataset
-
-        rng = np.random.default_rng(7)
-        return EncodedDataset.from_arrays(
-            {name: rng.integers(0, 4, size=300).tolist() for name in "abcd"}
-        )
-
-    def test_fork_reuses_published_strata(self):
-        parent = self.data()
-        first, second = parent.fork(), parent.fork()
-        codes_first, n_first = first.strata(("a", "b"))
-        codes_second, n_second = second.strata(("a", "b"))
-        # Same array object: the second fork read the published snapshot
-        # instead of recomputing the partition.
-        assert codes_second is codes_first
-        assert n_second == n_first
-
-    def test_parent_computation_visible_to_forks_and_vice_versa(self):
-        parent = self.data()
-        codes_parent, _ = parent.strata(("c",))
-        fork = parent.fork()
-        assert fork.strata(("c",))[0] is codes_parent
-        codes_fork, _ = fork.strata(("a", "d"))
-        assert parent.strata(("a", "d"))[0] is codes_fork
-
-    def test_shared_results_match_fresh_computation(self):
-        parent = self.data()
-        fork = parent.fork()
-        fork.strata(("a", "b"))
-        shared_codes, shared_n = parent.strata(("a", "b"))
-        fresh = self.data()  # no publications
-        fresh_codes, fresh_n = fresh.strata(("a", "b"))
-        assert shared_n == fresh_n
-        assert np.array_equal(shared_codes, fresh_codes)
-
-    def test_pickle_does_not_ship_snapshot(self):
-        import pickle
-
-        parent = self.data()
-        parent.strata(("a",))
-        clone = pickle.loads(pickle.dumps(parent))
-        assert clone._shared_strata.snapshot == {}
-        assert clone._strata_cache == {}
-        # the unpickled copy still computes (and publishes) independently
-        assert np.array_equal(clone.strata(("a",))[0], parent.strata(("a",))[0])
-
-    def test_publish_respects_cache_cap(self):
-        from repro.independence.engine import _SharedStrata
-
-        shared = _SharedStrata()
-        shared.publish(("a",), (np.zeros(1), 1), cap=1)
-        shared.publish(("b",), (np.ones(1), 1), cap=1)  # over cap: dropped
-        assert set(shared.snapshot) == {("a",)}
-        shared.publish(("a",), (np.ones(1), 2), cap=4)  # no overwrite
-        assert shared.snapshot[("a",)][1] == 1

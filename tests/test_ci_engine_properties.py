@@ -4,12 +4,13 @@ Hypothesis-driven checks of the contracts the discovery layer relies on:
 sepset keys are unordered, cache hit accounting balances even with shared
 inner tests, and the columnar encoding round-trips arbitrary values.  A
 final property pits the vectorized engine against the per-stratum baseline
-on random tables, covering the degenerate shapes (empty strata, cardinality
+(tests/oracles/contingency.py) on random tables, covering the degenerate shapes (empty strata, cardinality
 1, single rows) that example-based parity tests can miss.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import contingency as reference
 
 from repro.data import Table
 from repro.discovery import SepsetMap
@@ -20,8 +21,6 @@ from repro.independence import (
     EncodedDataset,
     GTest,
     OracleCITest,
-    VectorizedChiSquaredTest,
-    VectorizedGTest,
 )
 
 nodes_st = st.integers(min_value=0, max_value=5)
@@ -180,8 +179,8 @@ def test_engine_matches_baseline_on_random_tables(x, y, z, kind, with_z):
     """Vectorized vs per-stratum baseline on arbitrary small tables."""
     n = min(len(x), len(y), len(z))
     table = Table.from_columns({"X": x[:n], "Y": y[:n], "Z": z[:n]})
-    old_cls = ChiSquaredTest if kind == "chi2" else GTest
-    new_cls = VectorizedChiSquaredTest if kind == "chi2" else VectorizedGTest
+    old_cls = reference.ChiSquaredTest if kind == "chi2" else reference.GTest
+    new_cls = ChiSquaredTest if kind == "chi2" else GTest
     cond = ("Z",) if with_z else ()
     old = old_cls(table).test("X", "Y", cond)
     new = new_cls(table).test("X", "Y", cond)

@@ -9,7 +9,7 @@ disk, online batch serving — asserting the invariants that must hold for
 * reports come back in input order, one per query;
 * Δ and every explanation score/responsibility are finite (ρ ∈ [0, 1]),
   and every predicate only names values that exist in the table;
-* serial ≡ threaded ≡ process serving (the executor is unobservable);
+* serial ≡ process serving (the executor is unobservable);
 * the micro-batching service returns exactly the direct batch results.
 """
 
@@ -24,7 +24,6 @@ from repro.core import ExplainSession, XInsightModel, fit_model
 from repro.core.reporting import report_to_dict
 from repro.data import Subspace, Table, WhyQuery
 from repro.errors import ExplanationError
-from repro.parallel import ThreadExecutor
 from repro.serve import ExplanationService
 
 E2E_SETTINGS = settings(
@@ -135,16 +134,15 @@ class TestEndToEndProperties:
 
     @E2E_SETTINGS
     @given(case=e2e_cases())
-    def test_serial_equals_threaded(self, case, tmp_path_factory):
+    def test_serial_equals_sharded(self, case, tmp_path_factory, process_pair):
         table, queries = case
-        tmp = tmp_path_factory.mktemp("e2e-thread")
+        tmp = tmp_path_factory.mktemp("e2e-process")
         model = fit_save_load(table, tmp)
         serial = ExplainSession(model, table).explain_batch(queries)
-        with ThreadExecutor(2) as executor:
-            threaded = ExplainSession(model, table).explain_batch(
-                queries, executor=executor
-            )
-        assert [report_to_dict(r) for r in threaded] == [
+        sharded = ExplainSession(model, table).explain_batch(
+            queries, executor=process_pair
+        )
+        assert [report_to_dict(r) for r in sharded] == [
             report_to_dict(r) for r in serial
         ]
 
@@ -231,8 +229,8 @@ class TestUnexplainableQueries:
 
 
 class TestProcessParity:
-    """Process-pool parity on one fixed case (pools are too slow to spawn
-    inside every hypothesis example; the thread sweep runs there)."""
+    """Process-pool parity on one fixed case through the ``workers=2``
+    kwarg (the hypothesis sweep passes a ready-made pool instead)."""
 
     def test_serial_equals_process(self, tmp_path):
         table, queries = fixed_case()

@@ -26,7 +26,6 @@ from repro.core.reporting import report_to_dict
 from repro.data import Aggregate, Subspace, WhyQuery
 from repro.datasets import generate_lungcancer
 from repro.errors import ReproError
-from repro.parallel import ThreadExecutor
 
 
 @pytest.fixture(scope="module")
@@ -252,15 +251,14 @@ class TestSessionTracing:
             assert trace.span_names() >= EXPLAIN_SPANS
 
     def test_explain_batch_sharded_grafts_worker_spans(
-        self, model, table, query
+        self, model, table, query, process_pair
     ):
         direct = ExplainSession(model, table).explain_batch([query] * 4)
         session = ExplainSession(model, table)
         traces = [obs.Trace(trace_id=f"s-{i}") for i in range(4)]
-        with ThreadExecutor(2) as ex:
-            reports = session.explain_batch(
-                [query] * 4, executor=ex, traces=traces
-            )
+        reports = session.explain_batch(
+            [query] * 4, executor=process_pair, traces=traces
+        )
         assert [report_to_dict(r) for r in reports] == [
             report_to_dict(r) for r in direct
         ]

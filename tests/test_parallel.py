@@ -5,8 +5,10 @@ Three layers of guarantees:
 * **Infrastructure** — the shard planner is balanced and deterministic,
   executors preserve shard order, build per-worker state exactly once per
   worker, and honor the ownership rules of ``executor_scope``.
-* **Parity** — sharded skeleton learning (thread and process workers) and
-  sharded ``explain_batch`` are byte-identical to the serial path on a
+* **Parity** — sharded skeleton learning and sharded ``explain_batch``
+  over process workers, fanned out from the main thread or from a worker
+  thread (the service's flush-thread shape), are byte-identical to the
+  serial path on a
   seeded ``random_graphs`` sweep: same graphs (``MixedGraph.__eq__``),
   same sepsets (``SepsetMap.__eq__``), same explanation rankings.
 * **Cache seeding** — the regression for ISSUE 3's satellite: merged shard
@@ -16,12 +18,18 @@ Three layers of guarantees:
 """
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import GLOBAL_SEED
+from oracles import contingency as reference
 
 from repro.cli import main
 from repro.core import ExplainSession, fit_model
@@ -30,14 +38,13 @@ from repro.datasets import generate_lungcancer, generate_syn_b, serving_queries
 from repro.datasets.random_graphs import BayesNet, random_dag
 from repro.discovery import SepsetMap, fci_from_table, learn_skeleton
 from repro.errors import ReproError
-from repro.independence import CachedCITest, VectorizedChiSquaredTest
+from repro.independence import CachedCITest, ChiSquaredTest
 from repro.independence.engine import CIProbeShardTask, EncodedDataset
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
     Shard,
     ShardTask,
-    ThreadExecutor,
     default_workers,
     executor_scope,
     make_executor,
@@ -59,14 +66,6 @@ def discovery_table(seed: int, n_nodes: int = 6, n_rows: int = 600):
 @pytest.fixture(scope="module")
 def syn_b_case():
     return generate_syn_b(n_rows=800, seed=GLOBAL_SEED)
-
-
-@pytest.fixture(scope="module")
-def process_pair():
-    """One 2-worker process pool shared by the parity tests (pool start-up
-    dominates these small workloads; sharing it keeps tier-1 fast)."""
-    with ProcessExecutor(2) as ex:
-        yield ex
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +124,7 @@ class SquareTask(ShardTask):
         self.builds = 0
 
     def build_state(self):
-        self.builds += 1  # meaningful in-process only (serial / thread)
+        self.builds += 1  # meaningful in-process only (serial)
         return "state"
 
     def run(self, state, payload):
@@ -134,10 +133,10 @@ class SquareTask(ShardTask):
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize("kind", ["serial", "process"])
     def test_map_preserves_order(self, kind):
         payloads = [[1, 2], [3], [4, 5, 6], []]
-        with make_executor(2, kind) as ex:
+        with make_executor(1 if kind == "serial" else 2) as ex:
             out = ex.map(SquareTask(), payloads)
         assert out == [[1, 4], [9], [16, 25, 36], []]
 
@@ -151,41 +150,32 @@ class TestExecutors:
         SerialExecutor().map(task, [[1]] * 5)
         assert task.builds == 1
 
-    def test_thread_builds_state_once_per_worker(self):
-        task = SquareTask()
-        with ThreadExecutor(2) as ex:
-            ex.map(task, [[1]] * 8)
-            ex.map(task, [[2]] * 8)  # same task: states are reused
-        assert 1 <= task.builds <= 2
-
     def test_workers_validated(self):
         with pytest.raises(ReproError):
-            ThreadExecutor(0)
-        with pytest.raises(ReproError):
-            make_executor(2, "fibers")
+            ProcessExecutor(0)
+        for bad in (0, -7):
+            with pytest.raises(ReproError, match="workers must be"):
+                make_executor(bad)
+            with pytest.raises(ReproError, match="workers must be"):
+                with executor_scope(workers=bad):
+                    pass
 
     def test_make_executor_kinds(self):
         assert make_executor(1).kind == "serial"
         assert make_executor(4).kind == "process"
-        assert make_executor(4, "thread").kind == "thread"
-        assert make_executor(1, "thread").kind == "thread"
 
     def test_scope_owns_built_executor(self):
-        with executor_scope(workers=2, kind="thread") as ex:
-            assert ex.kind == "thread" and ex.workers == 2
+        with executor_scope(workers=2) as ex:
+            assert ex.kind == "process" and ex.workers == 2
             ex.map(SquareTask(), [[1]])
             assert ex._pool is not None
         assert ex._pool is None  # closed on exit
 
-    def test_scope_leaves_caller_executor_open(self):
-        own = ThreadExecutor(2)
-        try:
-            own.map(SquareTask(), [[1]])
-            with executor_scope(executor=own) as ex:
-                assert ex is own
-            assert own._pool is not None  # caller owns the lifecycle
-        finally:
-            own.close()
+    def test_scope_leaves_caller_executor_open(self, process_pair):
+        process_pair.map(SquareTask(), [[1]])
+        with executor_scope(executor=process_pair) as ex:
+            assert ex is process_pair
+        assert process_pair._pool is not None  # caller owns the lifecycle
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -229,15 +219,8 @@ class TestShardTaskPickling:
             np.testing.assert_array_equal(clone.codes(name), data.codes(name))
             assert clone.categories(name) == data.categories(name)
 
-    def test_fork_shares_codes_owns_cache(self):
-        data = EncodedDataset.from_arrays({"a": [0, 1], "b": [1, 0]})
-        fork = data.fork()
-        assert fork.codes("a") is data.codes("a")
-        fork.strata(("b",))
-        assert fork._strata_cache and not data._strata_cache
-
     def test_ci_probe_task_round_trips(self, small_chain_table):
-        tester = VectorizedChiSquaredTest(small_chain_table)
+        tester = ChiSquaredTest(small_chain_table)
         task = pickle.loads(pickle.dumps(tester.shard_task()))
         state = task.build_state()
         probes = [("X", "Y", ()), ("X", "Y", ("M",))]
@@ -283,17 +266,21 @@ class TestSepsetMapEquality:
 
 class TestSkeletonParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_thread_sharded_skeleton_identical(self, seed):
+    def test_thread_sharded_skeleton_identical(self, seed, process_pair):
+        # A fit handed off to a worker thread fans out from that thread:
+        # the pool, rebuilt for the new task, starts its workers there and
+        # the verdicts come back to it rather than to the main thread.
         table = discovery_table(seed)
         serial = learn_skeleton(
-            table.dimensions, CachedCITest(VectorizedChiSquaredTest(table))
+            table.dimensions, CachedCITest(ChiSquaredTest(table))
         )
-        with ThreadExecutor(2) as ex:
-            sharded = learn_skeleton(
+        with ThreadPoolExecutor(max_workers=1) as thread:
+            sharded = thread.submit(
+                learn_skeleton,
                 table.dimensions,
-                CachedCITest(VectorizedChiSquaredTest(table)),
-                executor=ex,
-            )
+                CachedCITest(ChiSquaredTest(table)),
+                executor=process_pair,
+            ).result(timeout=120)
         assert sharded.graph == serial.graph
         assert sharded.sepsets == serial.sepsets
 
@@ -301,11 +288,11 @@ class TestSkeletonParity:
     def test_process_sharded_skeleton_identical(self, seed, process_pair):
         table = discovery_table(seed)
         serial = learn_skeleton(
-            table.dimensions, CachedCITest(VectorizedChiSquaredTest(table))
+            table.dimensions, CachedCITest(ChiSquaredTest(table))
         )
         sharded = learn_skeleton(
             table.dimensions,
-            CachedCITest(VectorizedChiSquaredTest(table)),
+            CachedCITest(ChiSquaredTest(table)),
             executor=process_pair,
         )
         assert sharded.graph == serial.graph
@@ -314,24 +301,28 @@ class TestSkeletonParity:
     def test_fci_workers_identical(self):
         table = discovery_table(5, n_nodes=7)
         serial = fci_from_table(table, max_depth=3)
-        threaded = fci_from_table(table, max_depth=3, workers=2, executor=None)
-        assert threaded.pag == serial.pag
-        assert threaded.sepsets == serial.sepsets
+        sharded = fci_from_table(table, max_depth=3, workers=2, executor=None)
+        assert sharded.pag == serial.pag
+        assert sharded.sepsets == serial.sepsets
 
     def test_unbatchable_test_warns_and_runs_serial(self):
+        # The per-stratum reference test has no batch support.
         table = discovery_table(9)
-        serial = fci_from_table(table, vectorized=False, max_depth=2)
+
+        def unbatched(t):
+            return CachedCITest(reference.ChiSquaredTest(t))
+
+        serial = fci_from_table(table, unbatched, max_depth=2)
         with pytest.warns(UserWarning, match="no native batch support"):
             unsharded = fci_from_table(
-                table, vectorized=False, max_depth=2, workers=2,
-                executor=None,
+                table, unbatched, max_depth=2, workers=2, executor=None,
             )
         assert unsharded.pag == serial.pag
 
     def test_serial_executor_is_default_path(self):
         table = discovery_table(6)
         plain = learn_skeleton(
-            table.dimensions, CachedCITest(VectorizedChiSquaredTest(table))
+            table.dimensions, CachedCITest(ChiSquaredTest(table))
         )
         via_scope = fci_from_table(table, max_depth=None, use_possible_d_sep=False)
         assert plain.graph.same_adjacencies(via_scope.pag)
@@ -356,11 +347,19 @@ class TestExplainBatchParity:
         serial = ExplainSession(model, syn_b_case.table).explain_batch(queries)
         return model, queries, serial
 
-    def test_thread_sharded_batch_identical(self, syn_b_case, fitted):
+    def test_thread_sharded_batch_identical(self, syn_b_case, fitted, process_pair):
+        # The serving shape: the service hands every flush to one dedicated
+        # thread, which fans the batch out to process workers and asks for
+        # per-query outcomes instead of a raise.
         model, queries, serial = fitted
         session = ExplainSession(model, syn_b_case.table)
-        with ThreadExecutor(2) as ex:
-            reports = session.explain_batch(queries, executor=ex)
+        with ThreadPoolExecutor(max_workers=1) as flush_thread:
+            reports = flush_thread.submit(
+                session.explain_batch,
+                queries,
+                executor=process_pair,
+                on_error="return",
+            ).result(timeout=120)
         assert [report_signature(r) for r in reports] == [
             report_signature(r) for r in serial
         ]
@@ -373,6 +372,7 @@ class TestExplainBatchParity:
         assert [report_signature(r) for r in reports] == [
             report_signature(r) for r in serial
         ]
+        assert session.stats.queries == len(queries)
 
     def test_workers_kwarg_resolves(self, syn_b_case, fitted):
         model, queries, serial = fitted
@@ -382,28 +382,28 @@ class TestExplainBatchParity:
             report_signature(r) for r in serial[:3]
         ]
 
-    def test_shard_task_reused_across_calls(self, syn_b_case, fitted):
+    def test_shard_task_reused_across_calls(self, syn_b_case, fitted, process_pair):
         # Process pools key on task identity: a serving loop over one
         # executor must get the same task back or the pool respawns per call.
         model, queries, _serial = fitted
         session = ExplainSession(model, syn_b_case.table)
-        with ThreadExecutor(2) as ex:
-            session.explain_batch(queries, executor=ex)
-            task_first = session._shard_task
-            session.explain_batch(queries, executor=ex)
-            assert session._shard_task is task_first
-            from repro.core import XPlainerConfig
+        session.explain_batch(queries, executor=process_pair)
+        task_first = session._shard_task
+        session.explain_batch(queries, executor=process_pair)
+        assert session._shard_task is task_first
+        from repro.core import XPlainerConfig
 
-            session.explain_batch(
-                queries, config=XPlainerConfig(epsilon_fraction=0.1), executor=ex
-            )
-            assert session._shard_task is not task_first
+        session.explain_batch(
+            queries,
+            config=XPlainerConfig(epsilon_fraction=0.1),
+            executor=process_pair,
+        )
+        assert session._shard_task is not task_first
 
-    def test_single_query_stays_serial(self, syn_b_case, fitted):
+    def test_single_query_stays_serial(self, syn_b_case, fitted, process_pair):
         model, queries, serial = fitted
         session = ExplainSession(model, syn_b_case.table)
-        with ThreadExecutor(2) as ex:
-            reports = session.explain_batch(queries[:1], executor=ex)
+        reports = session.explain_batch(queries[:1], executor=process_pair)
         assert report_signature(reports[0]) == report_signature(serial[0])
         # the serial fast path runs in-session and warms its caches
         assert session.cache_info()["translation_misses"] == 1
@@ -415,11 +415,10 @@ class TestExplainBatchParity:
 
 
 class TestCacheSeedingFromShards:
-    def test_parallel_replay_is_pure_hits(self):
+    def test_parallel_replay_is_pure_hits(self, process_pair):
         table = discovery_table(7)
-        ci_test = CachedCITest(VectorizedChiSquaredTest(table))
-        with ThreadExecutor(2) as ex:
-            result = learn_skeleton(table.dimensions, ci_test, executor=ex)
+        ci_test = CachedCITest(ChiSquaredTest(table))
+        result = learn_skeleton(table.dimensions, ci_test, executor=process_pair)
         misses_after_learning = ci_test.misses
         # Re-probe every recorded separation (what Possible-D-SEP and the
         # replay do): all hits, no new inner tests.
@@ -430,33 +429,32 @@ class TestCacheSeedingFromShards:
         assert ci_test.misses == misses_after_learning
         assert ci_test.hits > 0
 
-    def test_miss_count_matches_serial(self):
+    def test_miss_count_matches_serial(self, process_pair):
         table = discovery_table(8)
-        serial_test = CachedCITest(VectorizedChiSquaredTest(table))
+        serial_test = CachedCITest(ChiSquaredTest(table))
         learn_skeleton(table.dimensions, serial_test)
-        sharded_test = CachedCITest(VectorizedChiSquaredTest(table))
-        with ThreadExecutor(2) as ex:
-            learn_skeleton(table.dimensions, sharded_test, executor=ex)
+        sharded_test = CachedCITest(ChiSquaredTest(table))
+        learn_skeleton(table.dimensions, sharded_test, executor=process_pair)
         # Same depth batches, same dedup: sharding changes who computes a
         # verdict, never how many unique triples are computed.
         assert sharded_test.misses == serial_test.misses
         assert sharded_test.calls == serial_test.calls
 
-    def test_batch_hit_miss_accounting_with_executor(self, small_chain_table):
-        ci_test = CachedCITest(VectorizedChiSquaredTest(small_chain_table))
+    def test_batch_hit_miss_accounting_with_executor(
+        self, small_chain_table, process_pair
+    ):
+        ci_test = CachedCITest(ChiSquaredTest(small_chain_table))
         probes = [
             ("X", "Y", ()),
             ("Y", "X", ()),  # canonical duplicate: one inner test
             ("X", "M", ("Y",)),
             ("X", "Y", ()),
         ]
-        with ThreadExecutor(2) as ex:
-            ci_test.test_batch(probes, executor=ex)
+        ci_test.test_batch(probes, executor=process_pair)
         assert ci_test.calls == 4
         assert ci_test.misses == 2
         assert ci_test.hits == 2
-        with ThreadExecutor(2) as ex:
-            ci_test.test_batch(probes, executor=ex)
+        ci_test.test_batch(probes, executor=process_pair)
         assert ci_test.misses == 2  # fully seeded: second pass is pure hits
         assert ci_test.hits == 6
 
@@ -476,24 +474,21 @@ def lung_csv(tmp_path_factory):
 class TestCLIParallel:
     def test_fit_workers_model_identical(self, lung_csv, tmp_path):
         serial_out = tmp_path / "serial.json"
-        thread_out = tmp_path / "thread.json"
+        sharded_out = tmp_path / "sharded.json"
         assert main(["fit", lung_csv, "--out", str(serial_out)]) == 0
         assert main(
-            [
-                "fit", lung_csv, "--out", str(thread_out),
-                "--workers", "2", "--executor", "thread",
-            ]
+            ["fit", lung_csv, "--out", str(sharded_out), "--workers", "2"]
         ) == 0
         serial = json.loads(serial_out.read_text())
-        threaded = json.loads(thread_out.read_text())
+        sharded = json.loads(sharded_out.read_text())
         # The fit profile records wall-clock per phase, so it legitimately
         # differs between runs; the learned content must not.
         serial_profile = serial.pop("profile")
-        threaded_profile = threaded.pop("profile")
-        assert serial == threaded
-        assert serial["fingerprint"] == threaded["fingerprint"]
+        sharded_profile = sharded.pop("profile")
+        assert serial == sharded
+        assert serial["fingerprint"] == sharded["fingerprint"]
         assert [p["name"] for p in serial_profile["phases"]] == [
-            p["name"] for p in threaded_profile["phases"]
+            p["name"] for p in sharded_profile["phases"]
         ]
 
     def test_batch_explain_workers_same_output(self, lung_csv, tmp_path, capsys):
@@ -515,7 +510,7 @@ class TestCLIParallel:
         code = main(base_args)
         serial_out = capsys.readouterr().out
         assert code == 0
-        code = main(base_args + ["--workers", "2", "--executor", "thread"])
+        code = main(base_args + ["--workers", "2"])
         parallel_out = capsys.readouterr().out
         assert code == 0
         assert parallel_out == serial_out
@@ -531,12 +526,49 @@ class TestCLIParallel:
         base_args = ["batch-explain", lung_csv, "--queries", str(queries_path)]
         assert main(base_args) == 0
         serial_out = capsys.readouterr().out
-        assert main(base_args + ["--workers", "2", "--executor", "thread"]) == 0
+        assert main(base_args + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial_out
 
     def test_rejects_unknown_executor(self, lung_csv, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["fit", lung_csv, "--out", str(tmp_path / "m.json"),
-                 "--executor", "gpu"]
-            )
+        # There is no --executor flag: the worker count picks the executor.
+        for kind in ("gpu", "thread"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(
+                    ["fit", lung_csv, "--out", str(tmp_path / "m.json"),
+                     "--executor", kind]
+                )
+            assert exit_info.value.code == 2
+
+    def test_fit_refuses_workers_below_one(self, lung_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        for bad in ("0", "-7"):
+            assert main(["fit", lung_csv, "--out", str(out), "--workers", bad]) == 2
+            assert "workers must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", ["model", "registry"])
+    def test_serve_refuses_workers_below_one(self, tmp_path, shape):
+        model_dir = tmp_path / "registry" / "demo"
+        model_dir.mkdir(parents=True)
+        write_csv(generate_lungcancer(n_rows=300, seed=0), model_dir / "data.csv")
+        assert main(
+            ["fit", str(model_dir / "data.csv"), "--out", str(model_dir / "1.json")]
+        ) == 0
+        if shape == "model":
+            source = [
+                str(model_dir / "data.csv"), "--model", str(model_dir / "1.json")
+            ]
+        else:
+            source = ["--registry", str(tmp_path / "registry")]
+        src = str(Path(__file__).parent.parent / "src")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", *source,
+                "--port", "0", "--workers", "0",
+            ],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "workers must be" in proc.stderr
+        assert "serving on" not in proc.stderr

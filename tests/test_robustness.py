@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import signal
 import socket
 import threading
 import time
@@ -339,7 +340,31 @@ class _KillInWorkerTask(ShardTask):
         return ("ok", payload)
 
 
+class _PidTask(ShardTask):
+    def run(self, state, payload):
+        return os.getpid()
+
+
 class TestProcessExecutorSelfHealing:
+    def test_worker_sigterm_never_reaches_the_parent_loop(self):
+        # A broken pool SIGTERMs its surviving workers.  A forked worker
+        # must not forward that through the parent's signal wakeup fd,
+        # where a serving loop takes it for its own SIGTERM and drains.
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            received = asyncio.Event()
+            loop.add_signal_handler(signal.SIGTERM, received.set)
+            try:
+                with ProcessExecutor(1) as ex:
+                    (pid,) = ex.map(_PidTask(), [None])
+                    os.kill(pid, signal.SIGTERM)
+                    await asyncio.sleep(0.5)
+                return received.is_set()
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+
+        assert asyncio.run(scenario()) is False
+
     def test_max_restarts_validated(self):
         with pytest.raises(ReproError, match="max_restarts"):
             ProcessExecutor(2, max_restarts=-1)

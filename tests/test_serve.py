@@ -283,8 +283,7 @@ class TestServiceBatching:
 
         async def scenario():
             async with ExplanationService(
-                model, table, max_batch=16, max_wait_ms=20,
-                workers=2, executor_kind="thread",
+                model, table, max_batch=16, max_wait_ms=20, workers=2,
             ) as service:
                 return await asyncio.gather(
                     *[service.explain(q) for q in queries]
@@ -313,9 +312,14 @@ class TestServiceBatching:
         assert snap["config"]["max_batch"] >= 1
 
     def test_invalid_knobs_are_typed_errors(self, model, table):
-        for kwargs in ({"max_batch": 0}, {"max_wait_ms": -1}, {"queue_limit": 0}):
+        for kwargs in (
+            {"max_batch": 0}, {"max_wait_ms": -1}, {"queue_limit": 0},
+            {"workers": 0}, {"workers": -4},
+        ):
             with pytest.raises(ServeError):
                 ExplanationService(model, table, **kwargs)
+            with pytest.raises(ServeError):
+                ModelRegistry(service_kwargs=kwargs)
 
     def test_snapshot_carries_uptime_and_fingerprint(self, model, table, query):
         async def scenario():

@@ -161,8 +161,8 @@ class TestExplainBatch:
 
 
 class TestUnfittedIsAnError:
-    """Satellite: the new surface refuses to serve unfitted; only the
-    deprecated facade keeps the implicit-fit convenience."""
+    """Every online entry point refuses to serve unfitted, the facade's
+    included."""
 
     def test_facade_session_property_raises_before_fit(self, table):
         with pytest.raises(QueryError, match="fit"):
@@ -176,15 +176,9 @@ class TestUnfittedIsAnError:
         with pytest.raises(QueryError, match="fit"):
             XInsight(table).explain_batch([query])
 
-    def test_facade_implicit_fit_is_deprecated_but_works(self, table, query):
-        engine = XInsight(table, measure_bins=3)
-        with pytest.warns(DeprecationWarning, match="unfitted"):
-            report = engine.explain(query)
-        assert report.explanations
-        # Once fitted, no further warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.explain(query)
+    def test_facade_explain_raises_before_fit(self, table, query):
+        with pytest.raises(QueryError, match="fit"):
+            XInsight(table).explain(query)
 
     def test_explicit_fit_never_warns(self, table, query):
         engine = XInsight(table, measure_bins=3).fit()

@@ -265,11 +265,12 @@ class TestChunkedKernelParity:
             ):
                 assert ram_v == chk_v, probe
 
-    def test_fork_preserves_chunking(self, chunked):
-        fork = chunked.fork()
-        assert fork.chunk_rows == chunked.chunk_rows
+    def test_worker_copy_preserves_chunking(self, chunked):
+        # A process worker receives the dataset through pickle.
+        copy = pickle.loads(pickle.dumps(chunked))
+        assert copy.chunk_rows == chunked.chunk_rows
         np.testing.assert_array_equal(
-            fork.contingency("A", "B", ("N",)),
+            copy.contingency("A", "B", ("N",)),
             chunked.contingency("A", "B", ("N",)),
         )
 

@@ -8,7 +8,7 @@ Three layers of guarantees, each against an executable reference:
 * the vectorized brute/sum/avg searches return identical
   ``AttributeExplanation``s (same predicate, same contingency, scores to
   1e-9) to the pre-refactor implementations preserved in
-  :mod:`repro.core.xplainer_scalar`, across SUM/COUNT/AVG;
+  ``tests/oracles/xplainer_scalar.py``, across SUM/COUNT/AVG;
 * :class:`~repro.data.query.QueryWorkspace` builds bit-identical profiles
   to ``AttributeProfile.build`` and its session memoization never changes
   an answer.
@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import xplainer_scalar as scalar
 
-from repro.core import xplainer_scalar as scalar
 from repro.core.session import ExplainSession
 from repro.core.model import fit_model
 from repro.core.xplainer import (
