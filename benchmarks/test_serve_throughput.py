@@ -77,10 +77,7 @@ def serve_workload(model, table, queries, max_batch: int) -> tuple[float, dict]:
 
     async def scenario():
         service = ExplanationService(
-            model, table,
-            max_batch=max_batch,
-            max_wait_ms=2.0 if max_batch > 1 else 0.0,
-            queue_limit=len(queries) + 1,
+            model, table, max_batch=max_batch, queue_limit=len(queries) + 1
         )
         async with service:
             start = time.perf_counter()

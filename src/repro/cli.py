@@ -14,7 +14,7 @@ Usage examples::
     python -m repro batch-explain data.csv --model model.json \\
         --queries queries.json
     python -m repro serve data.csv --model model.json --port 8765 \\
-        --max-batch 64 --max-wait-ms 2 --workers 4
+        --max-batch 64 --workers 4
     python -m repro serve --registry models/ --port 8765 --http-port 8080 \\
         --max-models 4
 
@@ -80,7 +80,6 @@ from repro.serve import (
     DEFAULT_HOST,
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_MODELS,
-    DEFAULT_MAX_WAIT_MS,
     DEFAULT_PORT,
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_TRACE_RING,
@@ -457,7 +456,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     service_kwargs = dict(
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         workers=args.workers,
         default_timeout_ms=args.default_timeout_ms,
@@ -686,11 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--max-batch", type=int, default=DEFAULT_MAX_BATCH, metavar="N",
-        help="flush a micro-batch at this many queued requests",
-    )
-    p_srv.add_argument(
-        "--max-wait-ms", type=float, default=DEFAULT_MAX_WAIT_MS, metavar="MS",
-        help="... or this long after the first request of a batch",
+        help="the most queued requests one micro-batch flush takes",
     )
     p_srv.add_argument(
         "--queue-limit", type=int, default=DEFAULT_QUEUE_LIMIT, metavar="N",

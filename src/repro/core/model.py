@@ -37,7 +37,7 @@ from repro.core.xlearner import XLearnerResult, xlearner
 from repro.data.discretize import BinSpec, fit_bins
 from repro.data.table import Table
 from repro.discovery.skeleton import SepsetMap
-from repro.errors import ModelError, SchemaError
+from repro.errors import DiscoveryError, ModelError, SchemaError
 from repro.fd.graph import FDGraph
 from repro.graph.mixed_graph import MixedGraph
 from repro.graph.pag import pag_from_dict, pag_to_dict
@@ -293,7 +293,19 @@ def fit_offline(
     probing (see :mod:`repro.parallel`); the fitted model is identical to
     a serial fit, so parallel-fit artifacts are interchangeable with
     serial ones.
+
+    Raises :class:`~repro.errors.DiscoveryError` before any work when
+    ``alpha`` is not in (0, 1) (NaN included) or ``max_depth`` /
+    ``max_dsep_size`` is negative.
     """
+    if not 0 < alpha < 1:
+        raise DiscoveryError(f"alpha must be in (0, 1), got {alpha}")
+    for name, value in (
+        ("max_depth", max_depth),
+        ("max_dsep_size", max_dsep_size),
+    ):
+        if value is not None and value < 0:
+            raise DiscoveryError(f"{name} must be ≥ 0, got {value}")
     fit_started = time.perf_counter()
     graph_table = table
     aliases: dict[str, str] = {}

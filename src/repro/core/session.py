@@ -28,7 +28,6 @@ from repro.core.xplainer import XPlainerConfig, check_method, explain_attribute
 from repro.core.xtranslator import Translation, XDASemantics, translate
 from repro.data.query import QueryWorkspace, WhyQuery, candidate_attributes
 from repro.data.table import Table
-from repro.errors import QueryError
 from repro.graph.mixed_graph import MixedGraph
 from repro.graph.separation import m_separated
 
@@ -541,21 +540,9 @@ class ExplainSession:
         mode; reports are per-query pure, so the summary is identical to
         serial.
         """
-        from repro.core.view import (
-            enumerate_view_queries,
-            summarize_view,
-            view_from_spec,
-        )
-        from repro.data.groupby import GroupByResult
+        from repro.core.view import summarize_view, view_queries
 
-        if not isinstance(view, GroupByResult):
-            view = view_from_spec(view, self.table)
-        specs = enumerate_view_queries(view, orientation=orientation)
-        if not specs:
-            raise QueryError(
-                f"view over {view.dimensions!r} has no sibling group pairs "
-                "to explain"
-            )
+        view, specs = view_queries(view, self.table, orientation)
         reports = self.explain_batch(
             [spec.query for spec in specs],
             method=method,

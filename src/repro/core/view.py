@@ -175,6 +175,30 @@ def enumerate_view_queries(
     return specs
 
 
+def view_queries(
+    view: GroupByResult | Mapping[str, Any],
+    table: Table,
+    orientation: str = "both",
+) -> tuple[GroupByResult, list[ViewQuerySpec]]:
+    """The evaluated view and its sibling queries, ready to explain.
+
+    ``view`` is a ``{by, measure, agg}`` spec (validated by
+    :func:`view_from_spec` against ``table``) or a pre-computed
+    :class:`~repro.data.groupby.GroupByResult`.  A view without any
+    sibling pair raises :class:`~repro.errors.QueryError`: there is
+    nothing to explain.
+    """
+    if not isinstance(view, GroupByResult):
+        view = view_from_spec(view, table)
+    specs = enumerate_view_queries(view, orientation=orientation)
+    if not specs:
+        raise QueryError(
+            f"view over {view.dimensions!r} has no sibling group pairs "
+            "to explain"
+        )
+    return view, specs
+
+
 @dataclass(frozen=True)
 class ViewPair:
     """One explained comparison of the view, with full provenance.

@@ -58,7 +58,6 @@ from repro.serve.server import (
 )
 from repro.serve.service import (
     DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_MS,
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_TRACE_RING,
     ExplanationService,
@@ -70,7 +69,6 @@ __all__ = [
     "DEFAULT_HTTP_PORT",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_MODELS",
-    "DEFAULT_MAX_WAIT_MS",
     "DEFAULT_PORT",
     "DEFAULT_QUEUE_LIMIT",
     "DEFAULT_TRACE_RING",

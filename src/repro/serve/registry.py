@@ -150,7 +150,8 @@ class ModelRegistry:
         name one.
     service_kwargs:
         Knobs applied to every per-model service (``max_batch``,
-        ``max_wait_ms``, ``queue_limit``, ``workers``, ...).
+        ``queue_limit``, ``workers``, ...); an unknown name is refused
+        with :class:`~repro.errors.ServeError` at construction.
     """
 
     def __init__(

@@ -8,9 +8,10 @@ concurrent ``explain`` requests through a micro-batching scheduler:
    are rejected immediately with a typed
    :class:`~repro.errors.ServiceOverloadedError` (shed load at the door,
    don't time out at the back).
-2. **Coalescing** — a single flusher task collects requests into a batch
-   and flushes when either ``max_batch`` requests are waiting or
-   ``max_wait_ms`` has passed since the first one, whichever comes first.
+2. **Coalescing** — a single flusher task takes whatever is queued, up
+   to ``max_batch`` requests, and flushes it at once.  Requests that
+   arrive while a flush runs form the next batch, so batches grow with
+   load without a timer holding any request back.
 3. **Dedup** — duplicate queries inside one flush (the dominant shape of
    a hot serving stream) are answered by a *single* explain whose report
    fans out to every waiting requester.  Explanations are pure per query,
@@ -51,7 +52,6 @@ from repro.data.query import WhyQuery
 from repro.data.table import Table
 from repro.errors import (
     DeadlineExceededError,
-    QueryError,
     ServeError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -62,7 +62,6 @@ from repro.serve import faults
 LOG = logging.getLogger("repro.serve")
 
 DEFAULT_MAX_BATCH = 64
-DEFAULT_MAX_WAIT_MS = 2.0
 DEFAULT_QUEUE_LIMIT = 1024
 #: How many recent request traces each service keeps for the ``traces``
 #: surfaces (TCP op + ``GET /v1/models/{id}/traces``).
@@ -214,9 +213,7 @@ class ExplanationService:
     config:
         Default :class:`XPlainerConfig` for every request.
     max_batch:
-        Flush as soon as this many requests are waiting.
-    max_wait_ms:
-        ... or this long after the first request of a batch arrived.
+        The most requests one flush takes from the queue.
     queue_limit:
         Admission bound; requests beyond it are rejected with
         :class:`ServiceOverloadedError`.
@@ -255,7 +252,6 @@ class ExplanationService:
         *,
         config: XPlainerConfig | None = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         workers: int | None = None,
         default_timeout_ms: float | None = None,
@@ -266,7 +262,6 @@ class ExplanationService:
     ) -> None:
         self.check_knobs(
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             queue_limit=queue_limit,
             workers=workers,
             default_timeout_ms=default_timeout_ms,
@@ -277,7 +272,6 @@ class ExplanationService:
         self.model = model
         self.table = table
         self.max_batch = max_batch
-        self.max_wait = max_wait_ms / 1e3
         self.queue_limit = queue_limit
         self.workers = default_workers() if workers is None else workers
         self.executor = make_executor(self.workers)
@@ -298,27 +292,34 @@ class ExplanationService:
     @staticmethod
     def check_knobs(
         *,
+        config: XPlainerConfig | None = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         workers: int | None = None,
         default_timeout_ms: float | None = None,
         max_timeout_ms: float | None = None,
         slow_query_ms: float | None = None,
-        **_unchecked: Any,
+        trace_ring: int = DEFAULT_TRACE_RING,
+        trace_dir: str | Path | None = None,
+        **unknown: Any,
     ) -> None:
-        """Raise :class:`ServeError` on an out-of-range constructor knob.
+        """Raise :class:`ServeError` on an out-of-range or unknown
+        constructor knob.
 
         The constructor runs this; :class:`~repro.serve.registry.
         ModelRegistry`, which builds its services lazily, runs it on its
         ``service_kwargs`` up front so a bad knob fails at boot, not on
-        the first request.  NaN fails every comparison, so each check is
+        the first request.  ``config``, ``trace_ring`` and ``trace_dir``
+        are accepted as given; any other name the constructor does not
+        take is refused.  NaN fails every comparison, so each check is
         written to reject it.
         """
+        if unknown:
+            raise ServeError(
+                f"unknown service knob(s): {', '.join(sorted(unknown))}"
+            )
         if max_batch < 1:
             raise ServeError(f"max_batch must be ≥ 1, got {max_batch}")
-        if not max_wait_ms >= 0:
-            raise ServeError(f"max_wait_ms must be ≥ 0, got {max_wait_ms}")
         if queue_limit < 1:
             raise ServeError(f"queue_limit must be ≥ 1, got {queue_limit}")
         if workers is not None and workers < 1:
@@ -485,21 +486,9 @@ class ExplanationService:
         request.  ``timeout_ms`` applies per pair (service default / cap
         as usual).
         """
-        from repro.core.view import (
-            enumerate_view_queries,
-            summarize_view,
-            view_from_spec,
-        )
-        from repro.data.groupby import GroupByResult
+        from repro.core.view import summarize_view, view_queries
 
-        if not isinstance(view, GroupByResult):
-            view = view_from_spec(view, self.table)
-        specs = enumerate_view_queries(view, orientation=orientation)
-        if not specs:
-            raise QueryError(
-                f"view over {view.dimensions!r} has no sibling group pairs "
-                "to explain"
-            )
+        view, specs = view_queries(view, self.table, orientation)
         futures: list = []
         admission_errors = 0
         first_rejection: Exception | None = None
@@ -581,7 +570,6 @@ class ExplanationService:
         )
         snap["config"] = {
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait * 1e3,
             "queue_limit": self.queue_limit,
             "workers": self.workers,
             "executor": self.executor.kind,
@@ -597,44 +585,17 @@ class ExplanationService:
     # ------------------------------------------------------------------
 
     async def _flush_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
-            item = await self._queue.get()
-            if item is _STOP:
+            batch = [await self._queue.get()]
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            if batch[-1] is _STOP:
+                # stop() closes admission before it enqueues _STOP, so the
+                # sentinel is the last item: nothing admitted is left behind.
+                if len(batch) > 1:
+                    await self._flush(batch[:-1])
                 return
-            batch = [item]
-            stopping = False
-            deadline = loop.time() + self.max_wait
-            while len(batch) < self.max_batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
-                if nxt is _STOP:
-                    stopping = True
-                    break
-                batch.append(nxt)
             await self._flush(batch)
-            if stopping:
-                # Admission closed while we were batching: serve whatever
-                # else was already admitted, then exit.
-                backlog: list[_Pending] = []
-                while True:
-                    try:
-                        rest = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if rest is not _STOP:
-                        backlog.append(rest)
-                for i in range(0, len(backlog), self.max_batch):
-                    await self._flush(backlog[i : i + self.max_batch])
-                return
 
     def _expire(self, pending: _Pending, *, shed: bool) -> None:
         """Resolve one request with :class:`DeadlineExceededError` and

@@ -162,8 +162,7 @@ def _smoke_tcp(tmp: str) -> None:
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", csv_path,
-            "--model", model_path, "--port", "0",
-            "--max-wait-ms", "5", "--allow-shutdown",
+            "--model", model_path, "--port", "0", "--allow-shutdown",
         ],
         stderr=subprocess.PIPE,
         text=True,
@@ -281,8 +280,7 @@ def _smoke_http(tmp: str) -> None:
         [
             sys.executable, "-m", "repro", "serve",
             "--registry", str(registry), "--port", "0", "--http-port", "0",
-            "--max-wait-ms", "5", "--allow-shutdown",
-            "--trace-dir", str(trace_dir),
+            "--allow-shutdown", "--trace-dir", str(trace_dir),
         ],
         stderr=subprocess.PIPE,
         text=True,
@@ -383,7 +381,7 @@ CHAOS_SPECS = [
      "measure": "LungCancer", "agg": "AVG"},
 ]
 
-#: Pipelined chaos bursts (each coalesces into roughly one flush).
+#: Pipelined chaos bursts per run.
 CHAOS_BURSTS = 10
 
 
@@ -430,8 +428,7 @@ def _serve_command(csv_path: str, model_path: str) -> list:
     return [
         sys.executable, "-m", "repro", "serve", csv_path,
         "--model", model_path, "--port", "0",
-        "--workers", "2",
-        "--max-wait-ms", "25", "--allow-shutdown",
+        "--workers", "2", "--allow-shutdown",
     ]
 
 

@@ -200,6 +200,28 @@ class TestFitCommand:
         assert payload["format"] == "xinsight-model"
         assert payload["fit"]["measure_bins"] == 3
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--max-depth", "-3"),
+            ("--max-dsep-size", "-1"),
+            ("--alpha", "2"),
+            ("--alpha", "0"),
+            ("--alpha", "nan"),
+        ],
+    )
+    def test_bad_fit_knob_exits_2_and_writes_nothing(
+        self, lungcancer_csv, tmp_path, capsys, flag
+    ):
+        out = tmp_path / "m.json"
+        assert main(["fit", lungcancer_csv, "--out", str(out), *flag]) == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and flag[0][2:].replace("-", "_") in errors[0]
+        assert not out.exists()
+
     def test_explain_serves_saved_model(self, lungcancer_csv, lung_model, capsys):
         code = main(
             [

@@ -155,9 +155,7 @@ class TestEndToEndProperties:
         direct = ExplainSession(model, table).explain_batch(queries)
 
         async def scenario():
-            async with ExplanationService(
-                model, table, max_batch=4, max_wait_ms=5
-            ) as service:
+            async with ExplanationService(model, table, max_batch=4) as service:
                 return await asyncio.gather(
                     *[service.explain(q) for q in queries]
                 )

@@ -7,6 +7,7 @@ silently corrupting deployed models.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from repro.data import Table
 from repro.data.discretize import Bin, BinSpec
 from repro.datasets import generate_cityinfo, generate_lungcancer
 from repro.discovery import SepsetMap
-from repro.errors import GraphError, ModelError
+from repro.errors import DiscoveryError, GraphError, ModelError
 from repro.graph import Endpoint, MixedGraph
 from repro.graph.pag import pag_from_dict, pag_to_dict
 
@@ -204,6 +205,28 @@ class TestBinSpecPayloadValidation:
     ):
         with pytest.raises(ModelError, match="cannot write"):
             fitted_model.save(tmp_path / "no_such_dir" / "model.json")
+
+
+class TestFitKnobValidation:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"alpha": 2.0},
+            {"alpha": 0.0},
+            {"alpha": math.nan},
+            {"max_depth": -3},
+            {"max_dsep_size": -1},
+        ],
+    )
+    def test_bad_fit_knob_is_a_typed_error_before_any_work(
+        self, knobs, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the fit started before its knobs were checked")
+
+        monkeypatch.setattr("repro.core.model.fit_bins", no_work)
+        with pytest.raises(DiscoveryError, match=next(iter(knobs))):
+            fit_model(generate_lungcancer(n_rows=200, seed=0), **knobs)
 
 
 class TestGoldenSchema:

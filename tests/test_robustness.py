@@ -443,16 +443,20 @@ class TestDeadlines:
         self, serve_model, serve_table, serve_queries
     ):
         async def scenario():
-            async with ExplanationService(
-                serve_model, serve_table, max_wait_ms=60
-            ) as service:
+            async with ExplanationService(serve_model, serve_table) as service:
                 with pytest.raises(
                     DeadlineExceededError, match="expired while queued"
                 ):
                     await service.explain(serve_queries[0], timeout_ms=1)
                 return service.stats
 
-        stats = run(scenario())
+        # The flush sleeps before its shed check, which holds the request
+        # in the queue past its 1 ms deadline.
+        try:
+            faults.arm(FaultPlan(flush_delay_ms=60))
+            stats = run(scenario())
+        finally:
+            faults.disarm()
         assert stats.timeouts == 1
         assert stats.shed_expired == 1
         assert stats.completed == 0
@@ -819,16 +823,20 @@ class TestFaultMetrics:
         self, serve_model, serve_table, serve_queries
     ):
         async def scenario():
-            async with ExplanationService(
-                serve_model, serve_table, max_wait_ms=40
-            ) as service:
+            async with ExplanationService(serve_model, serve_table) as service:
                 with pytest.raises(DeadlineExceededError):
                     await service.explain(serve_queries[0], timeout_ms=1)
                 await service.explain(serve_queries[0])
                 registry = ModelRegistry.for_service(service, model_id="demo")
                 return render_metrics(registry)
 
-        samples = parse_prometheus_text(run(scenario()))
+        # The flush delay holds the 1 ms request in the queue until it
+        # expires (see test_queue_expired_request_is_shed).
+        try:
+            faults.arm(FaultPlan(flush_delay_ms=40))
+            samples = parse_prometheus_text(run(scenario()))
+        finally:
+            faults.disarm()
         assert metric_value(samples, "repro_serve_timeouts_total", model="demo") == 1
         assert (
             metric_value(samples, "repro_serve_shed_expired_total", model="demo")
@@ -879,7 +887,7 @@ class TestFaultToleranceProperty:
 
         async def scenario():
             async with ExplanationService(
-                serve_model, serve_table, max_wait_ms=5, queue_limit=queue_limit
+                serve_model, serve_table, queue_limit=queue_limit
             ) as service:
                 futures, rejected = [], 0
                 for i, timeout_ms in enumerate(timeouts):

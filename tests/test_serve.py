@@ -143,9 +143,7 @@ class TestServiceBatching:
         direct = ExplainSession(model, table).explain_batch(queries)
 
         async def scenario():
-            async with ExplanationService(
-                model, table, max_batch=8, max_wait_ms=10
-            ) as service:
+            async with ExplanationService(model, table, max_batch=8) as service:
                 return await asyncio.gather(
                     *[service.explain(q) for q in queries]
                 )
@@ -157,9 +155,7 @@ class TestServiceBatching:
 
     def test_duplicates_coalesce_into_one_explain(self, model, table, query):
         async def scenario():
-            async with ExplanationService(
-                model, table, max_batch=64, max_wait_ms=50
-            ) as service:
+            async with ExplanationService(model, table, max_batch=64) as service:
                 await asyncio.gather(*[service.explain(query) for _ in range(16)])
                 return service
 
@@ -170,13 +166,44 @@ class TestServiceBatching:
         # service answered.
         assert service.session.stats.queries < 16
 
+    def test_requests_queued_during_a_flush_form_the_next_batch(
+        self, model, table, query_variants
+    ):
+        entered, release = threading.Event(), threading.Event()
+        seen: list[int] = []
+
+        async def scenario():
+            service = ExplanationService(model, table)
+            real_batch = service.session.explain_batch
+
+            def gated_batch(queries, **kwargs):
+                seen.append(len(queries))
+                entered.set()
+                release.wait(timeout=30)
+                return real_batch(queries, **kwargs)
+
+            service.session.explain_batch = gated_batch
+            async with service:
+                first = service.submit(query_variants[0])
+                # Hold the flusher inside its first flush, then queue more.
+                assert await asyncio.to_thread(entered.wait, 30)
+                backlog = [
+                    service.submit(query_variants[i % 3]) for i in range(17)
+                ]
+                release.set()
+                await asyncio.gather(first, *backlog)
+            return service
+
+        service = run(scenario())
+        assert dict(service.stats.batch_sizes) == {1: 1, 17: 1}
+        assert service.stats.deduped == 14  # 17 requests over 3 queries
+        assert seen == [1, 3]
+
     def test_max_batch_caps_flush_size(self, model, table, query_variants):
         queries = [query_variants[i % len(query_variants)] for i in range(20)]
 
         async def scenario():
-            async with ExplanationService(
-                model, table, max_batch=4, max_wait_ms=50
-            ) as service:
+            async with ExplanationService(model, table, max_batch=4) as service:
                 await asyncio.gather(*[service.explain(q) for q in queries])
                 return service
 
@@ -191,7 +218,7 @@ class TestServiceBatching:
         async def scenario():
             nonlocal real_batch
             service = ExplanationService(
-                model, table, max_batch=1, max_wait_ms=0, queue_limit=2
+                model, table, max_batch=1, queue_limit=2
             )
             real_batch = service.session.explain_batch
 
@@ -230,20 +257,22 @@ class TestServiceBatching:
         run(scenario())
 
     def test_stop_drains_admitted_backlog(self, model, table, query_variants):
-        async def scenario():
-            service = ExplanationService(model, table, max_batch=4, max_wait_ms=500)
+        async def scenario(backlog):
+            service = ExplanationService(model, table, max_batch=4)
             await service.start()
             futures = [
                 service.submit(query_variants[i % len(query_variants)])
-                for i in range(12)
+                for i in range(backlog)
             ]
             await service.stop()  # drain, not drop: every future resolves
             assert all(f.done() for f in futures)
             return service, [f.result() for f in futures]
 
-        service, reports = run(scenario())
-        assert len(reports) == 12
-        assert service.stats.completed == 12
+        # 13 requests put the stop sentinel partway through the last batch.
+        for backlog in (12, 13):
+            service, reports = run(scenario(backlog))
+            assert len(reports) == backlog
+            assert service.stats.completed == backlog
 
     def test_stop_is_idempotent(self, model, table):
         async def scenario():
@@ -258,9 +287,7 @@ class TestServiceBatching:
         bad = WhyQuery(query.s1, query.s2, "NoSuchMeasure", Aggregate.AVG)
 
         async def scenario():
-            async with ExplanationService(
-                model, table, max_batch=8, max_wait_ms=20
-            ) as service:
+            async with ExplanationService(model, table, max_batch=8) as service:
                 results = await asyncio.gather(
                     service.explain(query),
                     service.explain(bad),
@@ -283,7 +310,7 @@ class TestServiceBatching:
 
         async def scenario():
             async with ExplanationService(
-                model, table, max_batch=16, max_wait_ms=20, workers=2,
+                model, table, max_batch=16, workers=2,
             ) as service:
                 return await asyncio.gather(
                     *[service.explain(q) for q in queries]
@@ -312,12 +339,16 @@ class TestServiceBatching:
         assert snap["config"]["max_batch"] >= 1
 
     def test_invalid_knobs_are_typed_errors(self, model, table):
-        for kwargs in (
-            {"max_batch": 0}, {"max_wait_ms": -1}, {"queue_limit": 0},
+        out_of_range = (
+            {"max_batch": 0}, {"queue_limit": 0},
             {"workers": 0}, {"workers": -4},
-        ):
+        )
+        for kwargs in out_of_range:
             with pytest.raises(ServeError):
                 ExplanationService(model, table, **kwargs)
+        # The registry builds its services lazily, so it also refuses a
+        # knob the constructor does not take (here a deleted one) at boot.
+        for kwargs in (*out_of_range, {"max_wait_ms": -1}):
             with pytest.raises(ServeError):
                 ModelRegistry(service_kwargs=kwargs)
 
@@ -350,7 +381,7 @@ def running_server(model, table):
     """A live TCP server + a helper that runs client work in a thread."""
 
     async def scenario(client_work):
-        service = ExplanationService(model, table, max_batch=16, max_wait_ms=5)
+        service = ExplanationService(model, table, max_batch=16)
         async with ModelRegistry.for_service(service) as registry:
             server = ExplanationServer(registry, port=0, allow_shutdown=True)
             await server.start()
@@ -410,13 +441,11 @@ class TestServerWire:
         def client_work(host, port):
             with ServeClient(host, port) as client:
                 reports = client.explain_many(specs)
-                stats = client.stats()
                 client.shutdown()
-                return reports, stats
+                return reports
 
-        (reports, stats), _, _ = run(running_server(client_work))
+        reports, _, _ = run(running_server(client_work))
         assert reports == [report_to_dict(r) for r in direct]
-        assert stats["deduped"] >= 9  # 18 requests over 3 distinct queries
 
     def test_wire_errors_are_typed_and_connection_survives(
         self, running_server
@@ -468,7 +497,7 @@ class TestServerWire:
         direct = ExplainSession(model, table).explain(query)
 
         async def scenario():
-            service = ExplanationService(model, table, max_batch=4, max_wait_ms=20)
+            service = ExplanationService(model, table, max_batch=4)
             registry = ModelRegistry.for_service(service)
             server = ExplanationServer(registry, port=0)
             await server.start()
@@ -564,8 +593,7 @@ class TestServeCLI:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", str(csv_path),
-                "--model", str(model_path), "--port", "0",
-                "--max-wait-ms", "5", "--allow-shutdown",
+                "--model", str(model_path), "--port", "0", "--allow-shutdown",
             ],
             stderr=subprocess.PIPE,
             text=True,

@@ -86,7 +86,7 @@ def _serve(model, table, client_work):
     down over TCP afterwards and return what the work returned."""
 
     async def scenario():
-        service = ExplanationService(model, table, max_wait_ms=0)
+        service = ExplanationService(model, table)
         registry = ModelRegistry.for_service(service, model_id="demo")
         addresses: list = []
         ready = asyncio.Event()
@@ -339,7 +339,7 @@ class TestOpLayerProperty:
     @pytest.fixture(scope="class")
     def op_loop(self, model, table):
         loop = asyncio.new_event_loop()
-        service = ExplanationService(model, table, max_wait_ms=0)
+        service = ExplanationService(model, table)
         registry = ModelRegistry.for_service(service)
         loop.run_until_complete(registry.start())
         yield loop, ExplanationServer(registry, port=0), service

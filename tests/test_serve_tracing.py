@@ -119,9 +119,7 @@ class TestServiceTracing:
 
     def test_dedup_riders_point_at_the_primary(self, model, table, query):
         async def scenario():
-            async with ExplanationService(
-                model, table, max_batch=8, max_wait_ms=20
-            ) as service:
+            async with ExplanationService(model, table, max_batch=8) as service:
                 traces = [
                     obs.Trace(name="request", trace_id=f"dup-{i}")
                     for i in range(3)
@@ -153,9 +151,7 @@ class TestServiceTracing:
 
     def test_ring_capacity_is_honored(self, model, table, query):
         async def scenario():
-            async with ExplanationService(
-                model, table, trace_ring=2, max_wait_ms=0
-            ) as service:
+            async with ExplanationService(model, table, trace_ring=2) as service:
                 for i in range(4):
                     await service.explain(
                         query, trace=obs.Trace(trace_id=f"ring-{i}")
@@ -248,9 +244,7 @@ class TestServiceTracing:
         bad = WhyQuery(query.s1, query.s2, "NoSuchMeasure", Aggregate.AVG)
 
         async def scenario():
-            async with ExplanationService(
-                model, table, max_batch=8, max_wait_ms=20
-            ) as service:
+            async with ExplanationService(model, table, max_batch=8) as service:
                 results = await asyncio.gather(
                     service.explain(query),
                     service.explain(bad),
@@ -272,7 +266,7 @@ def running_server(model, table):
 
     async def scenario(client_work, **service_kwargs):
         service = ExplanationService(
-            model, table, max_batch=16, max_wait_ms=5, **service_kwargs
+            model, table, max_batch=16, **service_kwargs
         )
         async with ModelRegistry.for_service(service) as registry:
             server = ExplanationServer(registry, port=0, allow_shutdown=True)
@@ -386,7 +380,7 @@ def http_stack(model, table):
 
     def runner(client_work):
         async def scenario():
-            service = ExplanationService(model, table, max_wait_ms=5)
+            service = ExplanationService(model, table)
             registry = ModelRegistry.for_service(service, model_id="demo")
             async with registry:
                 async with HttpGateway(registry, port=0) as gateway:
