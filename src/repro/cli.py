@@ -62,6 +62,7 @@ from repro.core.model import (
     DEFAULT_MAX_DSEP_SIZE,
     DEFAULT_MEASURE_BINS,
     XInsightModel,
+    check_fit_knobs,
     fit_model,
 )
 from repro.core.session import ExplainSession, XInsightReport
@@ -218,6 +219,7 @@ def cmd_fds(args: argparse.Namespace) -> int:
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
+    check_fit_knobs(args.alpha, args.max_depth)
     table = read_csv(args.file)
     if args.algorithm == "xlearner":
         from repro.core.xlearner import xlearner

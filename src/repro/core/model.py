@@ -270,6 +270,21 @@ def fingerprint_of_payload(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def check_fit_knobs(
+    alpha: float, max_depth: int | None = None, max_dsep_size: int | None = None
+) -> None:
+    """Raise :class:`~repro.errors.DiscoveryError` when ``alpha`` is not in
+    (0, 1) (NaN included) or ``max_depth`` / ``max_dsep_size`` is negative."""
+    if not 0 < alpha < 1:
+        raise DiscoveryError(f"alpha must be in (0, 1), got {alpha}")
+    for name, value in (
+        ("max_depth", max_depth),
+        ("max_dsep_size", max_dsep_size),
+    ):
+        if value is not None and value < 0:
+            raise DiscoveryError(f"{name} must be ≥ 0, got {value}")
+
+
 def fit_offline(
     table: Table,
     columns: Sequence[str] | None = None,
@@ -294,18 +309,10 @@ def fit_offline(
     a serial fit, so parallel-fit artifacts are interchangeable with
     serial ones.
 
-    Raises :class:`~repro.errors.DiscoveryError` before any work when
-    ``alpha`` is not in (0, 1) (NaN included) or ``max_depth`` /
-    ``max_dsep_size`` is negative.
+    Raises :class:`~repro.errors.DiscoveryError` before any work when the
+    knobs fail :func:`check_fit_knobs`.
     """
-    if not 0 < alpha < 1:
-        raise DiscoveryError(f"alpha must be in (0, 1), got {alpha}")
-    for name, value in (
-        ("max_depth", max_depth),
-        ("max_dsep_size", max_dsep_size),
-    ):
-        if value is not None and value < 0:
-            raise DiscoveryError(f"{name} must be ≥ 0, got {value}")
+    check_fit_knobs(alpha, max_depth, max_dsep_size)
     fit_started = time.perf_counter()
     graph_table = table
     aliases: dict[str, str] = {}

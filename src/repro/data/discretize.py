@@ -10,6 +10,14 @@ learns a :class:`BinSpec` from data once (the offline phase), and
 ``BinSpec.apply`` re-discretizes any table — including fresh data served
 against a persisted :class:`~repro.core.model.XInsightModel` — with the
 exact same edges and labels.
+
+``apply`` works on bin indices, not strings: it formats one label per
+*bin*, maps each row's ``np.digitize`` (or nearest-singleton) index to a
+category code, and numbers the codes in order of first appearance.  The
+derived column is therefore identical, codes and categories, to
+``CategoricalColumn.from_values(spec.labels(values))``, at O(n) integer
+cost instead of one formatted string per row.  Bins whose labels print
+alike (``.4g`` rounding) share one category, as equal strings would.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.schema import Role
+from repro.data.column import CategoricalColumn
 from repro.data.table import Table
 from repro.errors import SchemaError
 
@@ -83,28 +91,49 @@ class BinSpec:
             return ()
         return tuple(b.low for b in self.bins) + (self.bins[-1].high,)
 
-    def labels(self, values: np.ndarray) -> list[str]:
-        """Category label of each value, identical to the fit-time labels."""
+    def _bin_index(self, values: np.ndarray) -> np.ndarray:
+        """Index into ``bins`` of each value."""
         if self.method == "singleton":
             # Snap to the nearest fitted singleton so fresh data can never
             # mint a category the graph was not learned on (fit-time values
             # are themselves singletons, so their labels are unchanged).
             cats = np.array([b.low for b in self.bins])
-            idx = np.abs(np.asarray(values)[:, None] - cats[None, :]).argmin(axis=1)
-            return [f"={cats[i]:.4g}" for i in idx]
+            return np.abs(np.asarray(values)[:, None] - cats[None, :]).argmin(axis=1)
         edges = np.asarray(self.edges)
         # np.digitize with right-open bins; values beyond either outer edge
         # are clamped into the first/last bin, so fresh data out of the
         # fitted range still maps to a known category.
-        idx = np.digitize(values, edges[1:-1], right=False)
-        return [str(self.bins[i]) for i in idx]
+        return np.digitize(values, edges[1:-1], right=False)
+
+    def _bin_labels(self) -> list[str]:
+        """The category label of each bin."""
+        if self.method == "singleton":
+            return [f"={b.low:.4g}" for b in self.bins]
+        return [str(b) for b in self.bins]
+
+    def labels(self, values: np.ndarray) -> list[str]:
+        """Category label of each value, identical to the fit-time labels."""
+        names = self._bin_labels()
+        return [names[i] for i in self._bin_index(values)]
 
     def apply(self, table: Table) -> Table:
-        """Append the derived dimension column to ``table``."""
-        values = table.measure_values(self.measure)
-        return table.with_column(
-            self.column, self.labels(values), role=Role.DIMENSION
+        """Append the derived dimension column to ``table``: the column
+        ``CategoricalColumn.from_values(self.labels(values))`` would give,
+        built from the bin indices (see the module docstring)."""
+        label_ids: dict[str, int] = {}
+        label_of_bin = np.array(
+            [label_ids.setdefault(label, len(label_ids)) for label in self._bin_labels()]
         )
+        ids = label_of_bin[self._bin_index(table.measure_values(self.measure))]
+        # Number the labels that occur by the first row carrying them.
+        first = np.full(len(label_ids), ids.size)
+        np.minimum.at(first, ids, np.arange(ids.size))
+        order = np.argsort(first)[: np.count_nonzero(first < ids.size)]
+        code_of = np.zeros(len(label_ids), dtype=np.int64)
+        code_of[order] = np.arange(order.size)
+        labels = tuple(label_ids)
+        column = CategoricalColumn(code_of[ids], tuple(labels[i] for i in order))
+        return table.with_column(self.column, column)
 
     def to_dict(self) -> dict:
         return {
@@ -181,8 +210,8 @@ def discretize(
     -------
     (table, bins):
         The table with the new dimension column (named ``f"{measure}_bin"``
-        unless overridden) and the bin ranges, ordered to match the
-        category codes of the new column.
+        unless overridden) and the bin ranges in value order (the column's
+        category codes follow first appearance, not bin order).
     """
     spec = fit_bins(table, measure, n_bins=n_bins, method=method, new_name=new_name)
     return spec.apply(table), spec.bins

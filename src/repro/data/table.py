@@ -278,15 +278,25 @@ class Table:
     # ------------------------------------------------------------------
 
     def with_column(
-        self, name: str, values: Sequence[object], role: Role | None = None
+        self, name: str, values: Sequence[object] | Column, role: Role | None = None
     ) -> "Table":
-        """Return a new table with an added (or replaced) column."""
-        if role is None:
-            role = _infer_role(list(values))
-        if role is Role.DIMENSION:
-            col: Column = CategoricalColumn.from_values(values)
+        """Return a new table with an added (or replaced) column.
+
+        ``values`` is raw values or a ready :class:`Column`; a column's kind
+        fixes its role.
+        """
+        if isinstance(values, (CategoricalColumn, NumericColumn)):
+            col: Column = values
+            if role is None:
+                is_dim = isinstance(col, CategoricalColumn)
+                role = Role.DIMENSION if is_dim else Role.MEASURE
         else:
-            col = NumericColumn.from_values(values)  # type: ignore[arg-type]
+            if role is None:
+                role = _infer_role(list(values))
+            if role is Role.DIMENSION:
+                col = CategoricalColumn.from_values(values)
+            else:
+                col = NumericColumn.from_values(values)  # type: ignore[arg-type]
         if len(col) != self._n_rows and self._n_rows:
             raise SchemaError(
                 f"column {name!r} has {len(col)} rows, table has {self._n_rows}"

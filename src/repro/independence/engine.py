@@ -14,8 +14,10 @@ around three ideas:
 
 2. **Flatten, then count** — a probe ``(X, Y | Z)`` needs the X×Y count
    matrix of every observed Z-stratum.  The engine combines the Z columns
-   into a single mixed-radix stratum code per row (compressed to *observed*
-   strata via ``np.unique``), flattens the triple ``(stratum, x, y)`` into
+   into a single mixed-radix stratum code per row, compressed to the sorted
+   rank among *observed* strata (a presence table and its running count,
+   O(n + radix), while the radix is a small multiple of the row count;
+   ``np.unique`` above it), flattens the triple ``(stratum, x, y)`` into
    one linear cell index::
 
        cell = (stratum * k_x + code_x) * k_y + code_y
@@ -52,6 +54,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
+from repro.data.column import CategoricalColumn
 from repro.data.table import Table
 from repro.errors import SchemaError
 from repro.independence.base import CITest, CITestResult, Var
@@ -63,6 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # running radix can overflow int64.
 _RADIX_LIMIT = 1 << 62
 
+# The final stratum compression uses a presence table (O(n + radix)) while
+# the mixed radix is at most this many times the row count, and a sort
+# (np.unique) above it.
+_PRESENCE_ROWS = 4
+
 # Largest dense contingency cube (in cells) built per probe; above this the
 # sparse path is used.  2**24 cells = 128 MiB of int64, well beyond any
 # discrete workload in this repo.
@@ -73,19 +81,6 @@ _DENSE_LIMIT = 1 << 24
 # without a cap the cache would hold one array per set for the dataset's
 # lifetime.
 _STRATA_CACHE_SIZE = 256
-
-
-def _factorize(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple[Hashable, ...]]:
-    """Encode values as int64 codes in order of first appearance."""
-    seen: dict[Hashable, int] = {}
-    codes: list[int] = []
-    for value in values:
-        code = seen.get(value)
-        if code is None:
-            code = len(seen)
-            seen[value] = code
-        codes.append(code)
-    return np.asarray(codes, dtype=np.int64), tuple(seen)
 
 
 class EncodedDataset:
@@ -209,11 +204,13 @@ class EncodedDataset:
     @classmethod
     def from_arrays(cls, data: Mapping[str, Sequence[Hashable]]) -> "EncodedDataset":
         """Factorize raw per-column values (any hashables)."""
-        codes: dict[str, np.ndarray] = {}
-        categories: dict[str, tuple[Hashable, ...]] = {}
-        for name, values in data.items():
-            codes[name], categories[name] = _factorize(values)
-        return cls(codes, categories)
+        columns = {
+            name: CategoricalColumn.from_values(values) for name, values in data.items()
+        }
+        return cls(
+            {name: col.codes for name, col in columns.items()},
+            {name: col.categories for name, col in columns.items()},
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -248,7 +245,12 @@ class EncodedDataset:
         """Per-row codes of the observed Z-strata, plus the stratum count.
 
         The Z columns are folded into one mixed-radix code and compressed to
-        the observed values, so codes are contiguous in ``0..n_strata-1``.
+        its sorted rank among the observed values, so codes are contiguous
+        in ``0..n_strata-1``.  The compression is a presence table plus
+        ``cumsum`` while the radix is at most ``_PRESENCE_ROWS`` times the
+        row count, else ``np.unique`` (also used mid-fold when the radix
+        would pass ``_RADIX_LIMIT``); both give the same codes, which the
+        chunked path's ``searchsorted`` over sorted observed values matches.
         Cached per conditioning *set* (bounded LRU): the row partition (and
         hence every statistic built on it) is invariant under Z ordering.
         """
@@ -269,8 +271,16 @@ class EncodedDataset:
                     radix = observed.size
                 combined = combined * k + self.codes(name)
                 radix *= k
-            observed, compressed = np.unique(combined, return_inverse=True)
-            out = (compressed.astype(np.int64, copy=False), int(observed.size))
+            if radix <= _PRESENCE_ROWS * self.n_rows:
+                # O(n + radix): the running count of a presence table is
+                # each observed value's sorted rank, i.e. np.unique's inverse.
+                present = np.zeros(radix, dtype=bool)
+                present[combined] = True
+                rank = np.cumsum(present) - 1
+                out = (rank[combined], int(np.count_nonzero(present)))
+            else:
+                observed, compressed = np.unique(combined, return_inverse=True)
+                out = (compressed.astype(np.int64, copy=False), int(observed.size))
         while len(self._strata_cache) >= _STRATA_CACHE_SIZE:
             self._strata_cache.pop(next(iter(self._strata_cache)))
         self._strata_cache[names] = out

@@ -8,7 +8,8 @@ final property pits the vectorized engine against the per-stratum baseline
 1, single rows) that example-based parity tests can miss.
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import contingency as reference
 
@@ -149,8 +150,6 @@ class TestEncodedDatasetProperties:
     )
     @settings(deadline=None)
     def test_strata_partition_is_order_insensitive(self, n_rows, seeds):
-        import numpy as np
-
         rng = np.random.default_rng(seeds[0] * 100 + seeds[1])
         ds = EncodedDataset.from_arrays(
             {
@@ -162,6 +161,37 @@ class TestEncodedDatasetProperties:
         codes_vu, n_vu = ds.strata(("v", "u"))
         assert n_uv == n_vu
         assert (codes_uv == codes_vu).all()
+
+    @given(
+        cards=st.lists(
+            st.one_of(st.integers(1, 6), st.just(1 << 16)), min_size=1, max_size=5
+        ),
+        n_rows=st.integers(min_value=0, max_value=60),
+        seed=st.integers(0, 2**16),
+    )
+    # Radix within the presence-table bound (6 ≤ 4 × 50 rows), above it
+    # (64,000 > 4 × 20), and past _RADIX_LIMIT mid-fold (2**64).
+    @example(cards=[2, 3], n_rows=50, seed=0)
+    @example(cards=[40, 40, 40], n_rows=20, seed=1)
+    @example(cards=[1 << 16] * 4, n_rows=30, seed=2)
+    @settings(deadline=None)
+    def test_strata_equal_np_unique_of_the_fold(self, cards, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"z{i}" for i in range(len(cards))]
+        ds = EncodedDataset(
+            {n: rng.integers(0, k, size=n_rows) for n, k in zip(names, cards)},
+            {n: tuple(range(k)) for n, k in zip(names, cards)},
+        )
+        # The mixed-radix fold in Python ints, which never overflow.
+        fold = [0] * n_rows
+        for name in sorted(names, key=repr):
+            k = ds.cardinality(name)
+            fold = [f * k + int(c) for f, c in zip(fold, ds.codes(name))]
+        observed, inverse = np.unique(np.array(fold, dtype=object), return_inverse=True)
+        codes, count = ds.strata(names)
+        assert count == observed.size == ds.n_strata(names)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == inverse.tolist()
 
 
 column_st = st.lists(st.sampled_from("pqr"), min_size=1, max_size=50)

@@ -49,6 +49,24 @@ class TestDiscoverCommand:
     def test_pc_algorithm_selectable(self, cityinfo_csv, capsys):
         assert main(["discover", cityinfo_csv, "--algorithm", "pc"]) == 0
 
+    @pytest.mark.parametrize("algorithm", ["xlearner", "fci", "pc"])
+    @pytest.mark.parametrize(
+        "flag",
+        [("--alpha", "2"), ("--alpha", "nan"), ("--max-depth", "-3")],
+        ids=["alpha=2", "alpha=nan", "max-depth=-3"],
+    )
+    def test_bad_knob_exits_2_with_one_error_line(
+        self, lungcancer_csv, capsys, algorithm, flag
+    ):
+        argv = ["discover", lungcancer_csv, "--algorithm", algorithm, *flag]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.err.splitlines() if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and flag[0][2:].replace("-", "_") in errors[0]
+        assert captured.out == ""
+
 
 class TestGroupbyCommand:
     def test_prints_groups(self, lungcancer_csv, capsys):

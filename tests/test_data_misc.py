@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import Aggregate, Role, Table, discretize, parse_aggregate, read_csv, write_csv
-from repro.data.discretize import Bin, equal_frequency_edges, equal_width_edges
+from repro.data.column import CategoricalColumn
+from repro.data.discretize import Bin, equal_frequency_edges, equal_width_edges, fit_bins
 from repro.errors import QueryError, SchemaError
 
 
@@ -90,6 +93,42 @@ class TestDiscretize:
     def test_bin_contains(self):
         b = Bin(0.0, 1.0)
         assert 0.5 in b and 1.0 not in b
+
+    def test_colliding_labels_share_one_category(self):
+        # Every bin of 1 + k·1e-6 prints "[1, 1)" at .4g, so the five
+        # distinct bins collapse into one category, as equal strings do.
+        t = Table.from_columns({"m": [1 + k * 1e-6 for k in range(100)]})
+        spec = fit_bins(t, "m", n_bins=5, method="width")
+        assert len({str(b) for b in spec.bins}) == 1 < len(spec.bins)
+        assert spec.apply(t).categories("m_bin") == ("[1, 1)",)
+
+
+# Per fitted family: spread ranges, few distinct values (singleton specs) and
+# values whose every bin prints alike at .4g.
+fit_values_st = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+    st.lists(st.integers(0, 3).map(float), min_size=1, max_size=40),
+    st.lists(st.integers(0, 50).map(lambda k: 1 + k * 1e-6), min_size=1, max_size=40),
+)
+
+
+@given(
+    fit=fit_values_st,
+    serve=st.lists(st.floats(-1e7, 1e7), max_size=40),
+    n_bins=st.integers(1, 6),
+    method=st.sampled_from(["width", "frequency"]),
+)
+@settings(deadline=None)
+def test_apply_equals_from_values_of_labels(fit, serve, n_bins, method):
+    """The index-built column equals re-encoding the per-row labels, on the
+    fitted values and on served values beyond the fitted range."""
+    spec = fit_bins(Table.from_columns({"m": fit}), "m", n_bins=n_bins, method=method)
+    for values in (fit, serve + fit):
+        table = Table.from_columns({"m": values}, roles={"m": Role.MEASURE})
+        got = spec.apply(table).column(spec.column)
+        want = CategoricalColumn.from_values(spec.labels(table.measure_values("m")))
+        assert got.categories == want.categories
+        assert got.codes.tolist() == want.codes.tolist()
 
 
 class TestCSV:
