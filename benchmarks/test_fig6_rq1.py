@@ -17,14 +17,14 @@ Paper narrative to reproduce:
 import pytest
 
 from repro.bench import BenchTable, fmt_float
-from repro.core import ExplanationType, XInsight
+from repro.core import fit_model
 from repro.data import Aggregate, Filter, Subspace, WhyQuery
 from repro.datasets import generate_flight, generate_hotel
 
 
 def flight_engine(n_rows: int = 20_000):
     table = generate_flight(n_rows=n_rows, seed=0)
-    return XInsight(table, measure_bins=3, max_depth=2), table
+    return fit_model(table, measure_bins=3, max_depth=2).session(table), table
 
 
 def flight_query():
@@ -36,7 +36,7 @@ def flight_query():
 
 def hotel_engine(n_rows: int = 20_000):
     table = generate_hotel(n_rows=n_rows, seed=0)
-    return XInsight(table, measure_bins=4, max_depth=2), table
+    return fit_model(table, measure_bins=4, max_depth=2).session(table), table
 
 
 def hotel_query():
@@ -56,7 +56,6 @@ def run_experiment(fast: bool = True) -> BenchTable:
     )
 
     engine, _raw = flight_engine(n_rows)
-    engine.fit()
     q = flight_query()
     report = engine.explain(q)
     rain = next((e for e in report.causal() if e.attribute == "Rain"), None)
@@ -73,7 +72,6 @@ def run_experiment(fast: bool = True) -> BenchTable:
     )
 
     engine, _raw = hotel_engine(n_rows)
-    engine.fit()
     q = hotel_query()
     report = engine.explain(q)
     lead = next((e for e in report.causal() if e.attribute == "LeadTime"), None)
@@ -103,9 +101,7 @@ def run_experiment(fast: bool = True) -> BenchTable:
 class TestFlightRQ1:
     @pytest.fixture(scope="class")
     def fitted(self):
-        engine, table = flight_engine()
-        engine.fit()
-        return engine, table
+        return flight_engine()
 
     def test_rain_is_causal_explanation(self, fitted):
         engine, _ = fitted
@@ -130,15 +126,13 @@ class TestFlightRQ1:
     def test_quarter_fd_does_not_break_discovery(self, fitted):
         engine, _ = fitted
         # Quarter is an FD child of Month: XLearner must have detected it.
-        assert engine.learner.fd_graph.has_fd("Month", "Quarter")
+        assert engine.model.fd_graph.has_fd("Month", "Quarter")
 
 
 class TestHotelRQ1:
     @pytest.fixture(scope="class")
     def fitted(self):
-        engine, table = hotel_engine()
-        engine.fit()
-        return engine, table
+        return hotel_engine()
 
     def test_leadtime_is_causal_explanation(self, fitted):
         engine, _ = fitted
@@ -158,7 +152,6 @@ class TestHotelRQ1:
 
 def test_benchmark_online_phase_flight(benchmark):
     engine, _ = flight_engine(n_rows=10_000)
-    engine.fit()
     report = benchmark.pedantic(
         lambda: engine.explain(flight_query()), rounds=3, iterations=1
     )

@@ -4,7 +4,7 @@ The point of the model/session split (ISSUE 2, Fig. 3): the offline phase
 runs once per dataset while the online phase serves a query stream.  This
 harness measures queries/sec of ``explain_batch`` over one fitted
 :class:`~repro.core.model.XInsightModel` against the naive workflow that
-builds a fresh ``XInsight(table).fit()`` for every query, asserts that
+runs a fresh ``fit_model(table)`` for every query, asserts that
 session serving (and its per-context caching) wins, and appends a trajectory
 entry to ``benchmarks/BENCH_online.json`` so the speedup is tracked across
 PRs.
@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import BenchTable, append_trajectory, fmt_seconds
-from repro.core import ExplainSession, XInsight, fit_model
+from repro.core import ExplainSession, fit_model
 from repro.datasets import generate_syn_b, serving_queries
 
 pytestmark = pytest.mark.slow
@@ -45,7 +45,7 @@ def measure(n_rows: int = N_ROWS, seed: int = SEED) -> dict:
     # per-query average — the cost is dominated by discovery, not variance).
     start = time.perf_counter()
     for query in queries[:N_NAIVE]:
-        XInsight(case.table, measure_bins=4).fit().explain(query)
+        fit_model(case.table, measure_bins=4).session(case.table).explain(query)
     naive_per_query = (time.perf_counter() - start) / N_NAIVE
 
     # Fit-once / serve-many: one model, one session, one batch.
@@ -85,7 +85,7 @@ def run_experiment() -> BenchTable:
         f"{m['translation_hits']} / {m['translation_hits'] + m['translation_misses']}",
     )
     table.note(
-        f"naive = fresh XInsight().fit() per query (avg over {N_NAIVE}); "
+        f"naive = fresh fit_model() per query (avg over {N_NAIVE}); "
         f"session amortizes one fit ({fmt_seconds(m['fit_seconds'])}s) over "
         "the whole stream."
     )

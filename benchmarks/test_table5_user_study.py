@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench import BenchTable
-from repro.core import XInsight
+from repro.core import ExplainSession, fit_model
 from repro.data import Aggregate, Role, Subspace, Table, WhyQuery
 from repro.datasets import generate_web, web_truth_graph
 from repro.userstudy import explanation_assessment, recruit_experts
@@ -21,24 +21,25 @@ from repro.userstudy import explanation_assessment, recruit_experts
 FOREGROUNDS = ("NewAccount", "ScriptedClient", "LinkFlooding", "AbuseReports")
 
 
-def web_engine(seed: int = 0) -> XInsight:
+def web_table(seed: int = 0) -> Table:
     table = generate_web(seed=seed)
     # IsBlocked plays the measure role in the Why Queries: re-type it.
     blocked = [float(v) for v in table.values("IsBlocked")]
-    table = table.drop_columns(["IsBlocked"]).with_column(
+    return table.drop_columns(["IsBlocked"]).with_column(
         "IsBlocked", blocked, role=Role.MEASURE
     )
-    return XInsight(table, measure_bins=2, max_depth=2, max_dsep_size=1, alpha=0.01)
 
 
 @functools.lru_cache(maxsize=1)
-def fitted_web_engine(seed: int = 0) -> XInsight:
+def fitted_web_engine(seed: int = 0) -> ExplainSession:
     """The offline phase is the expensive part (FCI over 29 variables);
     fit once and share across the Table 5 / Table 7 benches."""
-    return web_engine(seed).fit()
+    table = web_table(seed)
+    model = fit_model(table, measure_bins=2, max_depth=2, max_dsep_size=1, alpha=0.01)
+    return model.session(table)
 
 
-def collect_explanations(engine: XInsight, per_query: int = 2):
+def collect_explanations(engine: ExplainSession, per_query: int = 2):
     """Four Why Queries ('why is the block rate higher among users with
     behaviour F?'), top-2 explanations each → E1..E8."""
     items = []

@@ -9,19 +9,19 @@ subsequent change query.
 Run:  python examples/change_analysis.py
 """
 
-from repro.core import XInsight, explain_change
+from repro.core import explain_change, fit_model
 from repro.datasets import generate_hotel
 
 
 def main() -> None:
     table = generate_hotel(n_rows=20_000, seed=0)
-    engine = XInsight(table, measure_bins=4, max_depth=2).fit()
+    session = fit_model(table, measure_bins=4, max_depth=2).session(table)
 
     print("cancellation-rate changes, month over month:\n")
     transitions = [("Jan", "Apr"), ("Apr", "Jul"), ("Jul", "Oct"), ("Oct", "Jan")]
     for before, after in transitions:
         report = explain_change(
-            engine,
+            session,
             time_dimension="ArrivalMonth",
             before=before,
             after=after,

@@ -9,7 +9,7 @@ by Month, which would break plain FCI.
 Run:  python examples/flight_delay.py
 """
 
-from repro import Aggregate, Filter, Subspace, WhyQuery, XInsight
+from repro import Aggregate, Filter, Subspace, WhyQuery, fit_model
 from repro.datasets import generate_flight
 
 
@@ -17,8 +17,9 @@ def main() -> None:
     table = generate_flight(n_rows=20_000, seed=0)
     print(f"dataset: {table}")
 
-    engine = XInsight(table, measure_bins=3, max_depth=2).fit()
-    fd_graph = engine.learner.fd_graph
+    model = fit_model(table, measure_bins=3, max_depth=2)
+    session = model.session(table)
+    fd_graph = model.fd_graph
     print("\ndetected functional dependencies:")
     for fd in fd_graph.dependencies:
         print(f"  {fd}")
@@ -29,12 +30,12 @@ def main() -> None:
         measure="DelayMinute",
         agg=Aggregate.AVG,
     )
-    graph_table = engine.graph_table
+    graph_table = session.graph_table
     delta = query.delta(graph_table)
     print(f"\n{query.describe(graph_table)}")
     print(f"Fig. 6(a): Δ = {delta:.3f} minutes (paper: 3.674)")
 
-    report = engine.explain(query)
+    report = session.explain(query)
     print("\ncausal explanations:")
     for explanation in report.causal():
         print(

@@ -8,7 +8,7 @@ excluded (the paper's "LeadTime ≤ 133" explanation).
 Run:  python examples/hotel_booking.py
 """
 
-from repro import Aggregate, Subspace, WhyQuery, XInsight
+from repro import Aggregate, Subspace, WhyQuery, fit_model
 from repro.datasets import generate_hotel
 
 
@@ -16,9 +16,9 @@ def main() -> None:
     table = generate_hotel(n_rows=20_000, seed=0)
     print(f"dataset: {table}")
 
-    engine = XInsight(table, measure_bins=4, max_depth=2).fit()
+    session = fit_model(table, measure_bins=4, max_depth=2).session(table)
     print("\nlearned causal graph:")
-    print(f"  {engine.graph}")
+    print(f"  {session.graph}")
 
     query = WhyQuery.create(
         Subspace.of(ArrivalMonth="Jul"),
@@ -26,10 +26,10 @@ def main() -> None:
         measure="IsCanceled",
         agg=Aggregate.AVG,
     )
-    graph_table = engine.graph_table
+    graph_table = session.graph_table
     print(f"\n{query.describe(graph_table)}  (paper: 0.37 vs 0.30)")
 
-    report = engine.explain(query)
+    report = session.explain(query)
     print("\nexplanations:")
     for explanation in report.explanations:
         print(

@@ -8,24 +8,24 @@ truth; see DESIGN.md) assesses the explanations and the causal claims.
 Run:  python examples/web_service_security.py
 """
 
-from repro import Aggregate, Role, Subspace, WhyQuery, XInsight
+from repro import Aggregate, Role, Subspace, Table, WhyQuery, fit_model
 from repro.datasets import generate_web, web_truth_graph
 from repro.userstudy import claim_assessment, explanation_assessment, recruit_experts
 
 
-def build_engine() -> XInsight:
+def build_table() -> Table:
     table = generate_web(seed=0)
     blocked = [float(v) for v in table.values("IsBlocked")]
-    table = table.drop_columns(["IsBlocked"]).with_column(
+    return table.drop_columns(["IsBlocked"]).with_column(
         "IsBlocked", blocked, role=Role.MEASURE
     )
-    return XInsight(table, measure_bins=2, max_depth=2, max_dsep_size=1, alpha=0.01)
 
 
 def main() -> None:
-    engine = build_engine()
+    table = build_table()
     print("fitting the offline phase (FCI over 29 behaviour variables)...")
-    engine.fit()
+    model = fit_model(table, measure_bins=2, max_depth=2, max_dsep_size=1, alpha=0.01)
+    session = model.session(table)
 
     foregrounds = ("NewAccount", "ScriptedClient", "LinkFlooding", "AbuseReports")
     items = []
@@ -36,7 +36,7 @@ def main() -> None:
             measure="IsBlocked",
             agg=Aggregate.AVG,
         )
-        report = engine.explain(query)
+        report = session.explain(query)
         print(f"\nWhy Query: block rate, {fg}=1 vs {fg}=0 (Δ = {report.delta:.3f})")
         for explanation in report.top(2):
             print(
@@ -53,8 +53,8 @@ def main() -> None:
         print("  " + "  ".join(f"{c:>6}" for c in row))
     print(f"  positive-response rate: {table5.positive_fraction:.0%}")
 
-    node = engine.node_of("IsBlocked")
-    claims = sorted((n, "IsBlocked") for n in engine.graph.neighbors(node))[:8]
+    node = session.node_of("IsBlocked")
+    claims = sorted((n, "IsBlocked") for n in session.graph.neighbors(node))[:8]
     print("\nTable 7 — causal claim assessment:")
     table7 = claim_assessment(claims, experts)
     for row in table7.to_rows():

@@ -16,9 +16,6 @@ Quickstart::
                             measure="LungCancer", agg="AVG")
     for explanation in session.explain(query).top(5):
         print(explanation.as_row())
-
-The legacy one-object facade (``XInsight(table).fit().explain(query)``)
-remains available and delegates to the model/session layers.
 """
 
 from repro.core import (
@@ -26,7 +23,6 @@ from repro.core import (
     Explanation,
     ExplanationType,
     XDASemantics,
-    XInsight,
     XInsightModel,
     XInsightReport,
     XPlainerConfig,
@@ -72,7 +68,6 @@ __all__ = [
     "Table",
     "WhyQuery",
     "XDASemantics",
-    "XInsight",
     "XInsightModel",
     "XInsightReport",
     "XPlainerConfig",

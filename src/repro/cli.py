@@ -23,11 +23,13 @@ per-column ``.npy`` + a JSON manifest); every command that reads data
 accepts ``--store DIR`` in place of the CSV positional to serve from the
 zero-copy mapping instead (``--chunk-rows N`` streams kernels over bounded
 row slices for larger-than-RAM tables).
-``fit`` runs the heavy offline phase once and persists the artifact;
-``explain`` / ``batch-explain`` serve queries against it (``explain``
-without ``--model`` fits in-process, the legacy one-shot workflow), and
-``serve`` boots the asyncio micro-batching server of :mod:`repro.serve`
-(JSON-lines over TCP; drain with SIGINT/SIGTERM).  ``fit``,
+``fit`` runs the heavy offline phase once and persists the artifact (it
+alone takes the offline-phase flags ``--bins``, ``--alpha``,
+``--max-depth`` and ``--max-dsep-size``); ``explain`` / ``batch-explain``
+/ ``explain-view`` serve queries against it (``--model`` is required),
+and ``serve`` boots the asyncio micro-batching server of
+:mod:`repro.serve` over one ``--model`` or a ``--registry`` (JSON-lines
+over TCP; drain with SIGINT/SIGTERM).  ``fit``,
 ``batch-explain``, ``explain-view`` and ``serve`` accept ``--workers N``
 to shard discovery probing and query serving across N process workers
 (default: the ``REPRO_WORKERS`` env, else serial).  The
@@ -126,25 +128,10 @@ def _table_for(args: argparse.Namespace) -> Table:
         raise ReproError("give a CSV file or --store DIR")
     if getattr(args, "chunk_rows", None):
         raise ReproError("--chunk-rows only applies to a --store mapping")
-    return read_csv(file)
-
-
-def _fit_kwargs(args: argparse.Namespace) -> dict:
-    """Offline-phase knobs shared by ``fit`` and the in-process ``explain``."""
-    return {
-        "measure_bins": args.bins,
-        "alpha": args.alpha,
-        "max_depth": args.max_depth,
-        "max_dsep_size": args.max_dsep_size,
-    }
-
-
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    """Offline-phase flags with the library defaults (one source of truth)."""
-    parser.add_argument("--bins", type=int, default=DEFAULT_MEASURE_BINS)
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    parser.add_argument("--max-depth", type=int, default=None)
-    parser.add_argument("--max-dsep-size", type=int, default=DEFAULT_MAX_DSEP_SIZE)
+    try:
+        return read_csv(file)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReproError(f"cannot read CSV file {file}: {exc}") from exc
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
@@ -154,41 +141,6 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         help="shard work across N process workers; 1 runs serial "
         f"(default: the {REPRO_WORKERS_ENV} env, else serial)",
     )
-
-
-def _model_for(
-    args: argparse.Namespace, table: Table, executor=None
-) -> XInsightModel:
-    """Model from ``--model`` if given, else an in-process fit (which
-    shards its discovery probing over ``executor`` when given)."""
-    if getattr(args, "model", None):
-        overridden = [
-            flag
-            for flag, value, default in (
-                ("--bins", args.bins, DEFAULT_MEASURE_BINS),
-                ("--alpha", args.alpha, DEFAULT_ALPHA),
-                ("--max-depth", args.max_depth, None),
-                ("--max-dsep-size", args.max_dsep_size, DEFAULT_MAX_DSEP_SIZE),
-            )
-            if value != default
-        ]
-        if overridden:
-            print(
-                f"warning: {', '.join(overridden)} ignored — the saved model "
-                "already fixes the offline-phase parameters (re-run `fit` to "
-                "change them)",
-                file=sys.stderr,
-            )
-        return XInsightModel.load(args.model)
-    print("fitting the offline phase ...", file=sys.stderr)
-    return fit_model(table, executor=executor, **_fit_kwargs(args))
-
-
-def _session_for(
-    args: argparse.Namespace, table: Table, executor=None
-) -> ExplainSession:
-    """Serving session over the ``--model`` artifact or an in-process fit."""
-    return ExplainSession(_model_for(args, table, executor=executor), table)
 
 
 def _print_report(report: XInsightReport, session: ExplainSession, top: int) -> bool:
@@ -206,7 +158,7 @@ def _print_report(report: XInsightReport, session: ExplainSession, top: int) -> 
 
 
 def cmd_fds(args: argparse.Namespace) -> int:
-    table = read_csv(args.file)
+    table = _table_for(args)
     fd_graph = fd_graph_from_table(table, tolerance=args.tolerance)
     if fd_graph.is_empty:
         print("no functional dependencies found")
@@ -220,7 +172,7 @@ def cmd_fds(args: argparse.Namespace) -> int:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     check_fit_knobs(args.alpha, args.max_depth)
-    table = read_csv(args.file)
+    table = _table_for(args)
     if args.algorithm == "xlearner":
         from repro.core.xlearner import xlearner
 
@@ -241,7 +193,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_groupby(args: argparse.Namespace) -> int:
-    table = read_csv(args.file)
+    table = _table_for(args)
     result = group_by(table, args.by, args.measure, parse_aggregate(args.agg))
     print(f"{args.agg.upper()}({args.measure}) by {args.by}:")
     for grp in result.groups:
@@ -253,7 +205,7 @@ def cmd_groupby(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     """Persist a CSV as a zero-copy column store (ingest → fit → serve)."""
     started = time.perf_counter()
-    table = read_csv(args.file)
+    table = _table_for(args)
     store = table.to_store(args.out, force=args.force)
     dims = len(store.dimensions)
     seconds = round(time.perf_counter() - started, 3)
@@ -276,13 +228,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    check_fit_knobs(args.alpha, args.max_depth, args.max_dsep_size)
     table = _table_for(args)
     print("fitting the offline phase ...", file=sys.stderr)
     started = time.perf_counter()
     trace = obs.Trace(name="fit") if args.trace else None
     with obs.activate(trace):
         with executor_scope(args.workers) as ex:
-            model = fit_model(table, executor=ex, **_fit_kwargs(args))
+            model = fit_model(
+                table,
+                executor=ex,
+                measure_bins=args.bins,
+                alpha=args.alpha,
+                max_depth=args.max_depth,
+                max_dsep_size=args.max_dsep_size,
+            )
     path = model.save(args.out)
     if trace is not None:
         trace.finish()
@@ -374,7 +334,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     s1 = _subspace(args.s1, table)
     s2 = _subspace(args.s2, table)
     query = WhyQuery.create(s1, s2, args.measure, parse_aggregate(args.agg))
-    session = _session_for(args, table)
+    session = XInsightModel.load(args.model).session(table)
     report = session.explain(query)
     return 0 if _print_report(report, session, args.top) else 1
 
@@ -402,12 +362,9 @@ def _load_query_specs(path: str) -> list:
 def cmd_batch_explain(args: argparse.Namespace) -> int:
     table = _table_for(args)
     specs = _load_query_specs(args.queries)
-    # Validate every spec before any (potentially expensive) fit: a bad
-    # entry must fail fast, not after minutes of discovery.
     queries = [query_from_spec(spec, table) for spec in specs]
-    with executor_scope(args.workers) as ex:
-        session = _session_for(args, table, executor=ex)
-        reports = session.explain_batch(queries, executor=ex)
+    session = XInsightModel.load(args.model).session(table)
+    reports = session.explain_batch(queries, workers=args.workers)
     answered = 0
     for i, report in enumerate(reports, start=1):
         print(f"--- query {i}/{len(reports)} ---")
@@ -431,11 +388,10 @@ def cmd_explain_view(args: argparse.Namespace) -> int:
     view = view_from_spec(
         {"by": args.by, "measure": args.measure, "agg": args.agg}, table
     )
-    with executor_scope(args.workers) as ex:
-        session = _session_for(args, table, executor=ex)
-        summary = session.explain_view(
-            view, orientation=args.orientation, executor=ex
-        )
+    session = XInsightModel.load(args.model).session(table)
+    summary = session.explain_view(
+        view, orientation=args.orientation, workers=args.workers
+    )
     print(view_summary_to_markdown(summary, top=args.top))
     info = session.cache_info()
     ok = sum(1 for pair in summary.pairs if pair.error is None)
@@ -453,8 +409,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Two shapes share the code path: ``--registry DIR`` serves every model
     in a registry directory (lazy loading, hot reload, LRU bound), while
-    the historical single-model form (CSV/--store + --model/in-process
-    fit) wraps one pre-built service as a pinned single-entry registry.
+    the single-model form (CSV/--store + --model) wraps one pre-built
+    service as a pinned single-entry registry.
     """
     service_kwargs = dict(
         max_batch=args.max_batch,
@@ -478,15 +434,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_models=args.max_models,
             service_kwargs=service_kwargs,
         )
-    else:
+    elif args.model:
         table = _table_for(args)
-        # The in-process fit (no --model) shards its discovery probing over
-        # --workers too; the service builds its own serving executor from
-        # the same flag afterwards.
-        with executor_scope(args.workers) as ex:
-            model = _model_for(args, table, executor=ex)
-        service = ExplanationService(model, table, **service_kwargs)
+        service = ExplanationService(
+            XInsightModel.load(args.model), table, **service_kwargs
+        )
         registry = ModelRegistry.for_service(service)
+    else:
+        raise ReproError("serve needs --model MODEL.json or --registry DIR")
 
     def announce(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
@@ -584,7 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(open in Perfetto / chrome://tracing)",
     )
     _add_store_flags(p_fit)
-    _add_fit_flags(p_fit)
+    p_fit.add_argument("--bins", type=int, default=DEFAULT_MEASURE_BINS)
+    p_fit.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p_fit.add_argument("--max-depth", type=int, default=None)
+    p_fit.add_argument("--max-dsep-size", type=int, default=DEFAULT_MAX_DSEP_SIZE)
     _add_parallel_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -603,10 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--agg", default="AVG")
     p_exp.add_argument("--top", type=int, default=5)
     p_exp.add_argument(
-        "--model", default=None, metavar="MODEL.json",
-        help="serve against a saved model instead of fitting in-process",
+        "--model", required=True, metavar="MODEL.json",
+        help="the saved model to serve (written by `fit`)",
     )
-    _add_fit_flags(p_exp)
     p_exp.set_defaults(func=cmd_explain)
 
     p_batch = sub.add_parser(
@@ -620,10 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("--top", type=int, default=5)
     p_batch.add_argument(
-        "--model", default=None, metavar="MODEL.json",
-        help="serve against a saved model instead of fitting in-process",
+        "--model", required=True, metavar="MODEL.json",
+        help="the saved model to serve (written by `fit`)",
     )
-    _add_fit_flags(p_batch)
     _add_parallel_flags(p_batch)
     p_batch.set_defaults(func=cmd_batch_explain)
 
@@ -647,10 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_view.add_argument("--top", type=int, default=5)
     p_view.add_argument(
-        "--model", default=None, metavar="MODEL.json",
-        help="serve against a saved model instead of fitting in-process",
+        "--model", required=True, metavar="MODEL.json",
+        help="the saved model to serve (written by `fit`)",
     )
-    _add_fit_flags(p_view)
     _add_parallel_flags(p_view)
     p_view.set_defaults(func=cmd_explain_view)
 
@@ -662,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flags(p_srv)
     p_srv.add_argument(
         "--model", default=None, metavar="MODEL.json",
-        help="serve against a saved model instead of fitting in-process",
+        help="the saved model to serve over the CSV/--store data "
+        "(written by `fit`)",
     )
     p_srv.add_argument(
         "--registry", default=None, metavar="DIR",
@@ -722,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one Chrome trace-event JSON file per request into DIR "
         "(open in Perfetto / chrome://tracing)",
     )
-    _add_fit_flags(p_srv)
     _add_parallel_flags(p_srv)
     p_srv.set_defaults(func=cmd_serve)
     return parser

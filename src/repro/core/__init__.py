@@ -1,4 +1,4 @@
-"""The paper's core contribution: XLearner, XTranslator, XPlainer, pipeline."""
+"""The paper's core contribution: XLearner, XTranslator, XPlainer, model, session."""
 
 from repro.core.changes import ChangeDirection, ChangeReport, explain_change
 from repro.core.multidim import ConjunctionExplanation, explain_conjunction, product_attribute
@@ -11,10 +11,8 @@ from repro.core.model import (
     SCHEMA_VERSION,
     XInsightModel,
     fit_model,
-    fit_offline,
 )
-from repro.core.pipeline import XInsight, XInsightReport
-from repro.core.session import ExplainSession, SessionStats
+from repro.core.session import ExplainSession, SessionStats, XInsightReport
 from repro.core.view import (
     ViewExplanation,
     ViewPair,
@@ -69,7 +67,6 @@ __all__ = [
     "view_summary_to_markdown",
     "XInsightModel",
     "fit_model",
-    "fit_offline",
     "explanation_to_dict",
     "report_to_dict",
     "report_to_json",
@@ -89,7 +86,6 @@ __all__ = [
     "ExplanationType",
     "Translation",
     "XDASemantics",
-    "XInsight",
     "XInsightReport",
     "XLearnerResult",
     "XPlainerConfig",

@@ -4,7 +4,7 @@ The paper notes "XPlainer has been integrated into Microsoft Power BI to
 explain increase/decrease in data": a user sees a measure move between two
 snapshots (months, releases, cohorts) and asks why.  That is a Why Query
 whose sibling subspaces are the two time slices; this module packages the
-pattern on top of the XInsight pipeline.
+pattern on top of an :class:`~repro.core.session.ExplainSession`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.pipeline import XInsight, XInsightReport
+from repro.core.session import ExplainSession, XInsightReport
 from repro.data.aggregates import Aggregate
 from repro.data.filters import Subspace
 from repro.data.query import WhyQuery
@@ -48,7 +48,7 @@ class ChangeReport:
 
 
 def explain_change(
-    engine: XInsight,
+    session: ExplainSession,
     time_dimension: str,
     before: Hashable,
     after: Hashable,
@@ -60,16 +60,16 @@ def explain_change(
 
     Parameters
     ----------
-    engine:
-        A fitted :class:`XInsight` (the offline phase is reused across
-        change queries — the point of the Fig. 3 split).
+    session:
+        An :class:`ExplainSession` over a fitted model (the offline phase
+        is reused across change queries — the point of the Fig. 3 split).
     flat_fraction:
         |Δ| below this fraction of the 'before' level is reported FLAT
         rather than explained.
     """
     if before == after:
         raise QueryError("before and after must be different slices")
-    table = engine.graph_table
+    table = session.graph_table
     query = WhyQuery.create(
         Subspace.of(**{time_dimension: after}),
         Subspace.of(**{time_dimension: before}),
@@ -84,13 +84,13 @@ def explain_change(
     level = abs(parse_level(values, agg))
 
     if abs(raw_delta) <= flat_fraction * max(level, 1e-12):
-        empty = engine.explain(query.oriented(table))
+        empty = session.explain(query.oriented(table))
         return ChangeReport(ChangeDirection.FLAT, before, after, raw_delta, empty)
 
     direction = (
         ChangeDirection.INCREASE if raw_delta > 0 else ChangeDirection.DECREASE
     )
-    report = engine.explain(query.oriented(table))
+    report = session.explain(query.oriented(table))
     return ChangeReport(direction, before, after, abs(raw_delta), report)
 
 

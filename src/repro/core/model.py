@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro import obs
 
-from repro.core.xlearner import XLearnerResult, xlearner
+from repro.core.xlearner import xlearner
 from repro.data.discretize import BinSpec, fit_bins
 from repro.data.table import Table
 from repro.discovery.skeleton import SepsetMap
@@ -50,8 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 FORMAT_NAME = "xinsight-model"
 SCHEMA_VERSION = 1
 
-# The single source of truth for offline-phase defaults; the CLI and the
-# XInsight facade both read these, so they can never drift apart again.
+# The single source of truth for offline-phase defaults; the CLI's ``fit``
+# and ``discover`` flags and ``fit_model`` all read these.
 DEFAULT_MEASURE_BINS = 5
 DEFAULT_ALPHA = 0.05
 DEFAULT_MAX_DSEP_SIZE = 3
@@ -285,7 +285,7 @@ def check_fit_knobs(
             raise DiscoveryError(f"{name} must be ≥ 0, got {value}")
 
 
-def fit_offline(
+def fit_model(
     table: Table,
     columns: Sequence[str] | None = None,
     ci_test: CITest | None = None,
@@ -295,14 +295,9 @@ def fit_offline(
     max_dsep_size: int | None = DEFAULT_MAX_DSEP_SIZE,
     workers: int | None = None,
     executor=None,
-) -> tuple[XInsightModel, XLearnerResult, CITest, Table]:
-    """Run the offline phase, returning the persistable model plus the
-    in-memory artifacts (full XLearner result, the CI test used, and the
-    already-discretized graph table — sparing callers a second
-    :meth:`XInsightModel.transform` pass over the fit data).
-
-    Most callers want :func:`fit_model`; the extra return values exist for
-    diagnostics and the backward-compatible facade.
+) -> XInsightModel:
+    """Run the offline phase (discretize, detect FDs, XLearner) once and
+    return the immutable, persistable :class:`XInsightModel`.
 
     ``workers`` / ``executor`` parallelize the discovery stage's skeleton
     probing (see :mod:`repro.parallel`); the fitted model is identical to
@@ -357,7 +352,7 @@ def fit_offline(
         ],
         "skeleton_depths": learner.profile.get("skeleton_depths", []),
     }
-    model = XInsightModel(
+    return XInsightModel(
         pag=learner.pag,
         sepsets=learner.fci_result.sepsets,
         fd_graph=learner.fd_graph,
@@ -370,31 +365,3 @@ def fit_offline(
         measure_bins=measure_bins,
         fit_profile=profile,
     )
-    return model, learner, ci_test, graph_table
-
-
-def fit_model(
-    table: Table,
-    columns: Sequence[str] | None = None,
-    ci_test: CITest | None = None,
-    measure_bins: int = DEFAULT_MEASURE_BINS,
-    alpha: float = DEFAULT_ALPHA,
-    max_depth: int | None = None,
-    max_dsep_size: int | None = DEFAULT_MAX_DSEP_SIZE,
-    workers: int | None = None,
-    executor=None,
-) -> XInsightModel:
-    """Run the offline phase (discretize, detect FDs, XLearner) once and
-    return the immutable, persistable :class:`XInsightModel`."""
-    model, _learner, _ci_test, _graph_table = fit_offline(
-        table,
-        columns=columns,
-        ci_test=ci_test,
-        measure_bins=measure_bins,
-        alpha=alpha,
-        max_depth=max_depth,
-        max_dsep_size=max_dsep_size,
-        workers=workers,
-        executor=executor,
-    )
-    return model

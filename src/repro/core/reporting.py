@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from repro.core.explanation import Explanation
-from repro.core.pipeline import XInsightReport
+from repro.core.session import XInsightReport
 
 
 def explanation_to_dict(explanation: Explanation) -> dict[str, Any]:

@@ -91,8 +91,8 @@ class ExplainSession:
     config:
         Default :class:`XPlainerConfig` for this session's searches.
     graph_table:
-        Optional precomputed ``model.transform(table)`` result (the fit
-        path already has it); computed here when omitted.
+        Optional precomputed ``model.transform(table)`` result; computed
+        here when omitted.
     workspace_cache:
         How many per-query :class:`~repro.data.query.QueryWorkspace`
         objects (sibling masks + candidate-attribute profiles) to keep,
@@ -476,34 +476,25 @@ class ExplainSession:
                 return results
             task = self._shard_task_for(config or self.config, method)
             shards = plan_shards(len(queries), ex.workers)
-            if trace_list is None and on_error == "raise":
-                merged = ex.map(task, [s.take(queries) for s in shards])
-                flat = [report for chunk in merged for report in chunk]
-            else:
-                trace_ids = [
-                    trace.trace_id if trace is not None else None
-                    for trace in (trace_list or [None] * len(queries))
-                ]
-                payloads = [
-                    TracedShard(
-                        s.take(queries),
-                        s.take(trace_ids),
-                        return_exceptions=(on_error == "return"),
-                    )
-                    for s in shards
-                ]
-                outcomes = ex.map(task, payloads)
-                flat = []
-                for outcome in outcomes:
-                    for report, span_tree in zip(outcome.reports, outcome.spans):
-                        trace = (
-                            trace_list[len(flat)]
-                            if trace_list is not None
-                            else None
-                        )
-                        if trace is not None and span_tree is not None:
-                            trace.graft_shard(span_tree)
-                        flat.append(report)
+            trace_ids = [
+                trace.trace_id if trace is not None else None
+                for trace in (trace_list or [None] * len(queries))
+            ]
+            payloads = [
+                TracedShard(
+                    s.take(queries),
+                    s.take(trace_ids),
+                    return_exceptions=(on_error == "return"),
+                )
+                for s in shards
+            ]
+            flat = []
+            for outcome in ex.map(task, payloads):
+                for report, span_tree in zip(outcome.reports, outcome.spans):
+                    trace = trace_list[len(flat)] if trace_list is not None else None
+                    if trace is not None and span_tree is not None:
+                        trace.graft_shard(span_tree)
+                    flat.append(report)
         with self._lock:
             self.stats.queries += len(queries)
         return flat
@@ -585,7 +576,8 @@ class ExplainSession:
 
 @dataclass
 class TracedShard:
-    """Shard payload carrying trace context across the pickle boundary.
+    """The payload of every serving shard: a query slice plus its trace
+    context, carried across the pickle boundary.
 
     ``trace_ids`` pairs one optional trace id with each query; the worker
     opens a local :class:`repro.obs.Trace` per traced query and ships the
@@ -647,30 +639,24 @@ class ExplainShardTask:
             workspace_cache=self.workspace_cache,
         )
 
-    def run(
-        self, session: ExplainSession, payload: "Iterable[WhyQuery] | TracedShard"
-    ) -> "list[XInsightReport] | ShardOutcome":
-        if isinstance(payload, TracedShard):
-            reports: list = []
-            spans: list[dict[str, Any] | None] = []
-            for query, trace_id in zip(payload.queries, payload.trace_ids):
-                trace = (
-                    obs.Trace(name="shard", trace_id=trace_id)
-                    if trace_id is not None
-                    else None
-                )
-                if trace is not None:
-                    trace.root.tag(pid=os.getpid())
-                try:
-                    with obs.activate(trace):
-                        result: Any = session.explain(query, method=self.method)
-                except Exception as exc:
-                    if not payload.return_exceptions:
-                        raise
-                    result = exc
-                reports.append(result)
-                spans.append(
-                    trace.shard_payload() if trace is not None else None
-                )
-            return ShardOutcome(reports, spans)
-        return [session.explain(q, method=self.method) for q in payload]
+    def run(self, session: ExplainSession, payload: TracedShard) -> ShardOutcome:
+        reports: list = []
+        spans: list[dict[str, Any] | None] = []
+        for query, trace_id in zip(payload.queries, payload.trace_ids):
+            trace = (
+                obs.Trace(name="shard", trace_id=trace_id)
+                if trace_id is not None
+                else None
+            )
+            if trace is not None:
+                trace.root.tag(pid=os.getpid())
+            try:
+                with obs.activate(trace):
+                    result: Any = session.explain(query, method=self.method)
+            except Exception as exc:
+                if not payload.return_exceptions:
+                    raise
+                result = exc
+            reports.append(result)
+            spans.append(trace.shard_payload() if trace is not None else None)
+        return ShardOutcome(reports, spans)

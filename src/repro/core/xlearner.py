@@ -45,7 +45,7 @@ class XLearnerResult:
     profile: dict[str, Any] = field(default_factory=dict)
     """Phase timings of this discovery run (``{"phases": [...],
     "skeleton_depths": [...]}``, JSON-safe) — the offline half of the
-    observability story; :func:`repro.core.model.fit_offline` persists it
+    observability story; :func:`repro.core.model.fit_model` persists it
     into the model's fit metadata."""
 
     @property

@@ -151,9 +151,6 @@ def fci(
                     graph.set_mark(u, v, Endpoint.CIRCLE)
                     graph.set_mark(v, u, Endpoint.CIRCLE)
                 orient_colliders(graph, sepsets)
-            elif True:
-                # Even without removals the marks set by R0 stay valid.
-                pass
     phases.append(
         {
             "name": "possible_d_sep",

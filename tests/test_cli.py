@@ -80,7 +80,7 @@ class TestGroupbyCommand:
 
 
 class TestExplainViewCommand:
-    def test_end_to_end(self, lungcancer_csv, capsys):
+    def test_end_to_end(self, lungcancer_csv, lung_model, capsys):
         code = main(
             [
                 "explain-view",
@@ -89,8 +89,8 @@ class TestExplainViewCommand:
                 "Location",
                 "--measure",
                 "LungCancer",
-                "--bins",
-                "3",
+                "--model",
+                lung_model,
             ]
         )
         assert code == 0
@@ -101,7 +101,7 @@ class TestExplainViewCommand:
         assert "workspace cache" in captured.err
         assert "explained 3/3" in captured.err
 
-    def test_unknown_dimension_is_reported(self, lungcancer_csv, capsys):
+    def test_unknown_dimension_is_reported(self, lungcancer_csv, lung_model, capsys):
         code = main(
             [
                 "explain-view",
@@ -110,8 +110,8 @@ class TestExplainViewCommand:
                 "Nope",
                 "--measure",
                 "LungCancer",
-                "--bins",
-                "3",
+                "--model",
+                lung_model,
             ]
         )
         assert code == 2
@@ -119,7 +119,7 @@ class TestExplainViewCommand:
 
 
 class TestExplainCommand:
-    def test_end_to_end(self, lungcancer_csv, capsys):
+    def test_end_to_end(self, lungcancer_csv, lung_model, capsys):
         code = main(
             [
                 "explain",
@@ -130,8 +130,8 @@ class TestExplainCommand:
                 "Location=B",
                 "--measure",
                 "LungCancer",
-                "--bins",
-                "3",
+                "--model",
+                lung_model,
             ]
         )
         assert code == 0
@@ -139,11 +139,13 @@ class TestExplainCommand:
         assert "Smoking" in out
         assert "causal" in out
 
-    def test_bad_assignment_is_reported(self, lungcancer_csv, capsys):
+    def test_bad_assignment_is_reported(self, lungcancer_csv, lung_model, capsys):
         code = main(
             [
                 "explain",
                 lungcancer_csv,
+                "--model",
+                lung_model,
                 "--s1",
                 "Location-A",
                 "--s2",
@@ -155,11 +157,13 @@ class TestExplainCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_value_is_reported(self, lungcancer_csv, capsys):
+    def test_unknown_value_is_reported(self, lungcancer_csv, lung_model, capsys):
         code = main(
             [
                 "explain",
                 lungcancer_csv,
+                "--model",
+                lung_model,
                 "--s1",
                 "Location=Mars",
                 "--s2",
@@ -170,11 +174,13 @@ class TestExplainCommand:
         )
         assert code == 2
 
-    def test_unknown_dimension_is_reported(self, lungcancer_csv):
+    def test_unknown_dimension_is_reported(self, lungcancer_csv, lung_model):
         code = main(
             [
                 "explain",
                 lungcancer_csv,
+                "--model",
+                lung_model,
                 "--s1",
                 "Galaxy=A",
                 "--s2",
@@ -191,18 +197,31 @@ class TestUnifiedDefaults:
 
     def test_explain_flags_match_library_defaults(self, capsys):
         parser = build_parser()
-        for command in ("explain", "fit", "batch-explain"):
-            argv = {
-                "explain": [command, "f.csv", "--s1", "a=b", "--s2", "a=c",
-                            "--measure", "m"],
-                "fit": [command, "f.csv", "--out", "m.json"],
-                "batch-explain": [command, "f.csv", "--queries", "q.json"],
-            }[command]
-            args = parser.parse_args(argv)
-            assert args.bins == DEFAULT_MEASURE_BINS, command
-            assert args.alpha == DEFAULT_ALPHA, command
-            assert args.max_dsep_size == DEFAULT_MAX_DSEP_SIZE, command
-            assert args.max_depth is None, command
+        args = parser.parse_args(["fit", "f.csv", "--out", "m.json"])
+        assert args.bins == DEFAULT_MEASURE_BINS
+        assert args.alpha == DEFAULT_ALPHA
+        assert args.max_dsep_size == DEFAULT_MAX_DSEP_SIZE
+        assert args.max_depth is None
+        args = parser.parse_args(["discover", "f.csv"])
+        assert args.alpha == DEFAULT_ALPHA
+        assert args.max_depth is None
+
+    @pytest.mark.parametrize(
+        "command",
+        ["fds", "discover", "groupby", "ingest", "fit", "inspect",
+         "explain", "batch-explain", "explain-view", "serve"],
+    )
+    def test_offline_flags_only_where_they_act(self, capsys, command):
+        # The offline-phase knobs live on `fit`; `discover` keeps the two it
+        # runs with.  Serving commands take a fitted --model instead.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--bins", "--max-dsep-size"):
+            assert (flag in text) == (command == "fit"), flag
+        for flag in ("--alpha", "--max-depth"):
+            assert (flag in text) == (command in ("fit", "discover")), flag
 
 
 @pytest.fixture(scope="module")
@@ -229,8 +248,12 @@ class TestFitCommand:
         ],
     )
     def test_bad_fit_knob_exits_2_and_writes_nothing(
-        self, lungcancer_csv, tmp_path, capsys, flag
+        self, lungcancer_csv, tmp_path, capsys, monkeypatch, flag
     ):
+        def unread(path, *args, **kwargs):
+            raise AssertionError(f"fit read {path} before checking its knobs")
+
+        monkeypatch.setattr("repro.cli.read_csv", unread)
         out = tmp_path / "m.json"
         assert main(["fit", lungcancer_csv, "--out", str(out), *flag]) == 2
         errors = [
@@ -306,13 +329,6 @@ class TestBatchExplainCommand:
         assert "query 1/2" in captured.out
         assert "query 2/2" in captured.out
         assert "answered 2/2" in captured.err
-
-    def test_batch_without_model_fits_once(
-        self, lungcancer_csv, queries_file, capsys
-    ):
-        code = main(["batch-explain", lungcancer_csv, "--queries", queries_file])
-        assert code == 0
-        assert capsys.readouterr().err.count("fitting the offline phase") == 1
 
     def test_malformed_query_file_is_reported(
         self, lungcancer_csv, lung_model, tmp_path, capsys
@@ -420,10 +436,8 @@ class TestBatchExplainCommand:
         assert "unknown aggregate" in capsys.readouterr().err
 
     def test_bad_measure_fails_before_any_fit(
-        self, lungcancer_csv, tmp_path, capsys
+        self, lungcancer_csv, lung_model, tmp_path, capsys
     ):
-        # No --model: a bad query spec must fail during validation, not
-        # after minutes of in-process discovery.
         for bad_measure in (7, "NoSuchColumn"):
             bad = tmp_path / "bad_measure.json"
             bad.write_text(json.dumps([
@@ -431,36 +445,13 @@ class TestBatchExplainCommand:
                  "measure": bad_measure},
             ]))
             code = main(
-                ["batch-explain", lungcancer_csv, "--queries", str(bad)]
+                ["batch-explain", lungcancer_csv, "--model", lung_model,
+                 "--queries", str(bad)]
             )
             captured = capsys.readouterr()
             assert code == 2
             assert "measure" in captured.err
             assert "fitting the offline phase" not in captured.err
-
-    def test_fit_flags_with_model_warn_and_are_ignored(
-        self, lungcancer_csv, lung_model, capsys
-    ):
-        code = main(
-            [
-                "explain",
-                lungcancer_csv,
-                "--model",
-                lung_model,
-                "--bins",
-                "2",
-                "--s1",
-                "Location=A",
-                "--s2",
-                "Location=B",
-                "--measure",
-                "LungCancer",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "warning: --bins ignored" in captured.err
-        assert "Smoking" in captured.out
 
 
 class TestIngestAndStore:
@@ -509,10 +500,12 @@ class TestIngestAndStore:
         assert "refusing" in capsys.readouterr().err
         assert (target / "notes.txt").read_text() == "not a store"
 
-    def test_explain_from_store_matches_csv(self, lungcancer_csv, lung_store, capsys):
+    def test_explain_from_store_matches_csv(
+        self, lungcancer_csv, lung_store, lung_model, capsys
+    ):
         query = [
             "--s1", "Location=A", "--s2", "Location=B",
-            "--measure", "LungCancer", "--bins", "3",
+            "--measure", "LungCancer", "--model", lung_model,
         ]
         assert main(["explain", lungcancer_csv, *query]) == 0
         from_csv = capsys.readouterr().out
@@ -535,34 +528,38 @@ class TestIngestAndStore:
         assert code == 0
         assert model_path.is_file()
 
-    def test_file_and_store_is_an_error(self, lungcancer_csv, lung_store, capsys):
+    def test_file_and_store_is_an_error(
+        self, lungcancer_csv, lung_store, lung_model, capsys
+    ):
         code = main(
             [
                 "explain", lungcancer_csv, "--store", lung_store,
                 "--s1", "Location=A", "--s2", "Location=B",
-                "--measure", "LungCancer",
+                "--measure", "LungCancer", "--model", lung_model,
             ]
         )
         assert code == 2
         assert "not both" in capsys.readouterr().err
 
-    def test_neither_file_nor_store_is_an_error(self, capsys):
+    def test_neither_file_nor_store_is_an_error(self, lung_model, capsys):
         code = main(
             [
                 "explain",
                 "--s1", "Location=A", "--s2", "Location=B",
-                "--measure", "LungCancer",
+                "--measure", "LungCancer", "--model", lung_model,
             ]
         )
         assert code == 2
         assert "CSV file or --store" in capsys.readouterr().err
 
-    def test_chunk_rows_without_store_is_an_error(self, lungcancer_csv, capsys):
+    def test_chunk_rows_without_store_is_an_error(
+        self, lungcancer_csv, lung_model, capsys
+    ):
         code = main(
             [
                 "explain", lungcancer_csv, "--chunk-rows", "100",
                 "--s1", "Location=A", "--s2", "Location=B",
-                "--measure", "LungCancer",
+                "--measure", "LungCancer", "--model", lung_model,
             ]
         )
         assert code == 2
@@ -586,3 +583,75 @@ class TestServeRegistryArgs:
         )
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_serve_needs_a_model_or_a_registry(
+        self, lungcancer_csv, capsys, monkeypatch
+    ):
+        def boot(*args, **kwargs):
+            raise AssertionError("serve booted without a model")
+
+        monkeypatch.setattr("repro.cli.run_stack", boot)
+        assert main(["serve", lungcancer_csv, "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "--registry" in err
+
+
+class TestServingNeedsAModel:
+    """The serving commands never fit: ``fit`` writes the model, they load it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--s1", "Location=A", "--s2", "Location=B",
+             "--measure", "LungCancer"],
+            ["batch-explain", "--queries", "queries.json"],
+            ["explain-view", "--by", "Location", "--measure", "LungCancer"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_model_exits_2(self, lungcancer_csv, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], lungcancer_csv, *argv[1:]])
+        assert exit_info.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+
+class TestUnreadableCsv:
+    """A data CSV that cannot be read is a typed error naming the path."""
+
+    @pytest.fixture(params=["missing", "directory", "not-utf8"])
+    def bad_csv(self, request, tmp_path):
+        path = tmp_path / "data.csv"
+        if request.param == "directory":
+            path.mkdir()
+        elif request.param == "not-utf8":
+            path.write_bytes(b"Location,LungCancer\n\xff\xfe,1\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        ["fds", "discover", "groupby", "ingest", "fit", "explain",
+         "batch-explain", "explain-view", "serve"],
+    )
+    def test_exits_2_with_one_error_line(
+        self, bad_csv, lung_model, tmp_path, capsys, command
+    ):
+        extra = {
+            "groupby": ["--by", "Location", "--measure", "LungCancer"],
+            "ingest": ["--out", str(tmp_path / "out.store")],
+            "fit": ["--out", str(tmp_path / "m.json")],
+            "explain": ["--model", lung_model, "--s1", "Location=A",
+                        "--s2", "Location=B", "--measure", "LungCancer"],
+            "batch-explain": ["--model", lung_model,
+                              "--queries", str(tmp_path / "q.json")],
+            "explain-view": ["--model", lung_model, "--by", "Location",
+                             "--measure", "LungCancer"],
+            "serve": ["--model", lung_model, "--port", "0"],
+        }.get(command, [])
+        assert main([command, bad_csv, *extra]) == 2
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.err.splitlines() if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and bad_csv in errors[0]
+        assert captured.out == ""

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.core import ExplanationType, XDASemantics, XInsight, XPlainerConfig
+from repro.core import ExplanationType, XPlainerConfig, fit_model
 from repro.data import Aggregate, Subspace, WhyQuery
 from repro.datasets import generate_lungcancer
-from repro.errors import QueryError
 
 
 @pytest.fixture(scope="module")
 def engine():
     table = generate_lungcancer(n_rows=8000, seed=0)
-    return XInsight(table, measure_bins=3).fit()
+    return fit_model(table, measure_bins=3).session(table)
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +27,6 @@ class TestOfflinePhase:
     def test_fit_builds_graph_with_bin_node(self, engine):
         assert engine.graph.has_node("LungCancer_bin")
         assert engine.node_of("LungCancer") == "LungCancer_bin"
-
-    def test_unfit_engine_raises(self):
-        table = generate_lungcancer(n_rows=200, seed=1)
-        with pytest.raises(QueryError):
-            XInsight(table).learner
 
     def test_smoking_adjacent_to_severity(self, engine):
         assert engine.graph.has_edge("Smoking", "LungCancer_bin")

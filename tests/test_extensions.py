@@ -6,9 +6,9 @@ import pytest
 
 from repro.core import (
     ChangeDirection,
-    XInsight,
     explain_change,
     explain_conjunction,
+    fit_model,
     product_attribute,
     xlearner,
 )
@@ -74,7 +74,7 @@ class TestExplainChange:
     @pytest.fixture(scope="class")
     def engine(self):
         table = generate_lungcancer(n_rows=8000, seed=0)
-        return XInsight(table, measure_bins=3).fit()
+        return fit_model(table, measure_bins=3).session(table)
 
     def test_increase_detected_and_explained(self, engine):
         report = explain_change(engine, "Location", before="B", after="A", measure="LungCancer")

@@ -33,7 +33,7 @@ from oracles import contingency as reference
 
 from repro.cli import main
 from repro.core import ExplainSession, fit_model
-from repro.data import write_csv
+from repro.data import Aggregate, WhyQuery, write_csv
 from repro.datasets import generate_lungcancer, generate_syn_b, serving_queries
 from repro.datasets.random_graphs import BayesNet, random_dag
 from repro.discovery import SepsetMap, fci_from_table, learn_skeleton
@@ -373,6 +373,17 @@ class TestExplainBatchParity:
             report_signature(r) for r in serial
         ]
         assert session.stats.queries == len(queries)
+        # A poison query fails its shard under "raise" and comes back as an
+        # exception in its own slot under "return".
+        poison = WhyQuery(queries[0].s1, queries[0].s2, "NoSuchMeasure", Aggregate.AVG)
+        batch = [*queries[:2], poison, *queries[2:]]
+        with pytest.raises(ReproError):
+            session.explain_batch(batch, executor=process_pair)
+        returned = session.explain_batch(batch, executor=process_pair, on_error="return")
+        assert isinstance(returned.pop(2), ReproError)
+        assert [report_signature(r) for r in returned] == [
+            report_signature(r) for r in serial
+        ]
 
     def test_workers_kwarg_resolves(self, syn_b_case, fitted):
         model, queries, serial = fitted
@@ -514,20 +525,6 @@ class TestCLIParallel:
         parallel_out = capsys.readouterr().out
         assert code == 0
         assert parallel_out == serial_out
-
-    def test_batch_explain_inprocess_fit_honors_workers(self, lung_csv, tmp_path, capsys):
-        # Without --model, batch-explain fits in-process; --workers must
-        # reach that fit, and the output must still match the serial run.
-        queries_path = tmp_path / "queries.json"
-        queries_path.write_text(json.dumps(
-            [{"s1": {"Location": "A"}, "s2": {"Location": "B"},
-              "measure": "LungCancer", "agg": "AVG"}]
-        ))
-        base_args = ["batch-explain", lung_csv, "--queries", str(queries_path)]
-        assert main(base_args) == 0
-        serial_out = capsys.readouterr().out
-        assert main(base_args + ["--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial_out
 
     def test_rejects_unknown_executor(self, lung_csv, tmp_path):
         # There is no --executor flag: the worker count picks the executor.

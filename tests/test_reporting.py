@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import XInsight
+from repro.core import fit_model
 from repro.core.reporting import (
     explanation_to_dict,
     report_to_dict,
@@ -18,7 +18,7 @@ from repro.datasets import generate_lungcancer
 @pytest.fixture(scope="module")
 def report():
     table = generate_lungcancer(n_rows=6000, seed=0)
-    engine = XInsight(table, measure_bins=3).fit()
+    engine = fit_model(table, measure_bins=3).session(table)
     query = WhyQuery.create(
         Subspace.of(Location="A"), Subspace.of(Location="B"),
         "LungCancer", Aggregate.AVG,
@@ -71,7 +71,7 @@ class TestMarkdown:
         assert any("causal" in line for line in lines[4:])
 
     def test_empty_report_renders_placeholder(self, report):
-        from repro.core.pipeline import XInsightReport
+        from repro.core.session import XInsightReport
 
         empty = XInsightReport(report.query, report.delta, [], {})
         assert "(no explanation found)" in report_to_markdown(empty)

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import XInsight, explain_attribute, fit_model, xlearner
+from repro.core import explain_attribute, fit_model, xlearner
 from repro.data import (
     Aggregate,
     AttributeProfile,
@@ -184,7 +184,7 @@ class TestDegenerateData:
                 "m": [float(i % 4) for i in range(20)],
             }
         )
-        engine = XInsight(t, measure_bins=2).fit()
+        engine = fit_model(t, measure_bins=2).session(t)
         q = WhyQuery.create(Subspace.of(loc="A"), Subspace.of(loc="B"), "m")
         report = engine.explain(q.oriented(engine.graph_table))
         assert isinstance(report.explanations, list)

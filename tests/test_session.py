@@ -2,9 +2,8 @@
 
 Covers the new API contract: sessions are stateless per model (many
 sessions share one artifact, nothing mutates it), per-session caches
-eliminate repeated graph traversals, ``explain_batch`` preserves order and
-equals query-by-query serving, and — unlike the deprecated facade — an
-unfitted state is an error, never a silent re-fit.
+eliminate repeated graph traversals, and ``explain_batch`` preserves order
+and equals query-by-query serving.
 """
 
 import warnings
@@ -13,14 +12,13 @@ import pytest
 
 from repro.core import (
     ExplainSession,
-    XInsight,
     XPlainerConfig,
     fit_model,
 )
 import repro.core.session as session_mod
 from repro.data import Aggregate, Subspace, WhyQuery
 from repro.datasets import generate_lungcancer
-from repro.errors import ModelError, QueryError
+from repro.errors import ModelError
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +48,8 @@ def session(model, table):
 
 class TestSessionBasics:
     def test_explain_matches_facade(self, session, table, query):
-        facade = XInsight(table, measure_bins=3).fit()
-        assert session.explain(query).explanations == facade.explain(query).explanations
+        refit = fit_model(table, measure_bins=3).session(table)
+        assert session.explain(query).explanations == refit.explain(query).explanations
 
     def test_graph_table_has_bin_companions(self, session):
         assert "LungCancer_bin" in session.graph_table.dimensions
@@ -161,27 +159,11 @@ class TestExplainBatch:
 
 
 class TestUnfittedIsAnError:
-    """Every online entry point refuses to serve unfitted, the facade's
-    included."""
-
-    def test_facade_session_property_raises_before_fit(self, table):
-        with pytest.raises(QueryError, match="fit"):
-            XInsight(table).session
-
-    def test_facade_model_property_raises_before_fit(self, table):
-        with pytest.raises(QueryError, match="fit"):
-            XInsight(table).model
-
-    def test_facade_explain_batch_raises_before_fit(self, table, query):
-        with pytest.raises(QueryError, match="fit"):
-            XInsight(table).explain_batch([query])
-
-    def test_facade_explain_raises_before_fit(self, table, query):
-        with pytest.raises(QueryError, match="fit"):
-            XInsight(table).explain(query)
+    """A session only exists over a fitted model, so serving never falls
+    back to an implicit fit or warns about one."""
 
     def test_explicit_fit_never_warns(self, table, query):
-        engine = XInsight(table, measure_bins=3).fit()
+        engine = fit_model(table, measure_bins=3).session(table)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             engine.explain(query)
