@@ -255,6 +255,8 @@ class XInsightModel:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ModelError(f"no model file at {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ModelError(f"cannot read model file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)

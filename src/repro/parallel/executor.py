@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import os
 import signal
+import stat
 import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -110,6 +111,33 @@ _WORKER_TASK: ShardTask | None = None
 _WORKER_STATE: Any = None
 
 
+def _drop_inherited_sockets() -> None:
+    """Release every socket a forked worker inherited from its parent.
+
+    A worker holding a copy of a server's listener or client sockets keeps
+    each connection open after the server closes it, so the peer never
+    reads EOF.  The pool's own channels are pipes and stay.  Each socket
+    fd is pointed at ``/dev/null`` rather than closed: the parent's socket
+    objects, copied into the worker, still name those fds and must never
+    close a file that reuses the number.  Without ``/proc`` this is a
+    no-op.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # the fd listdir itself used, closed since
+    finally:
+        os.close(devnull)
+
+
 def _process_init(task: ShardTask) -> None:
     global _WORKER_TASK, _WORKER_STATE
     # A forked worker inherits the parent's signal set-up, including a
@@ -118,6 +146,7 @@ def _process_init(task: ShardTask) -> None:
     # drain the whole server.  A worker dies on SIGTERM and tells no one.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _drop_inherited_sockets()
     _WORKER_TASK = task
     _WORKER_STATE = task.build_state()
 

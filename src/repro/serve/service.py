@@ -7,7 +7,10 @@ concurrent ``explain`` requests through a micro-batching scheduler:
 1. **Admission** — requests enter a bounded queue; when it is full they
    are rejected immediately with a typed
    :class:`~repro.errors.ServiceOverloadedError` (shed load at the door,
-   don't time out at the back).
+   don't time out at the back).  An admitted request with a deadline arms
+   one loop timer that resolves it with
+   :class:`~repro.errors.DeadlineExceededError` when its budget runs out,
+   whether it is still queued or riding a flush.
 2. **Coalescing** — a single flusher task takes whatever is queued, up
    to ``max_batch`` requests, and flushes it at once.  Requests that
    arrive while a flush runs form the next batch, so batches grow with
@@ -71,13 +74,6 @@ DEFAULT_TRACE_RING = 64
 LATENCY_WINDOW = 4096
 
 _STOP = object()  # queue sentinel: admission is closed, drain and exit
-
-
-def _swallow_result(task: "asyncio.Future") -> None:
-    """Consume an abandoned fan-out's outcome so asyncio never logs it as
-    an unretrieved exception (every waiter already got a deadline error)."""
-    if not task.cancelled():
-        task.exception()
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -187,13 +183,16 @@ class _Pending:
     method: str
     future: asyncio.Future
     enqueued_at: float
-    #: perf_counter instant past which this request is worthless to its
-    #: caller (None = no deadline).  Enforced at flush pickup (shed) and
-    #: while the flush runs (see ``_await_with_deadlines``).
-    deadline: float | None = None
-    #: Set once the request was resolved with DeadlineExceededError —
-    #: its stats and trace are final; the fan-out loop must skip it.
-    expired: bool = False
+    #: The policy-resolved budget (None = no deadline) and the loop timer
+    #: that enforces it, armed once the request is admitted.
+    timeout_ms: float | None = None
+    timer: asyncio.TimerHandle | None = None
+    #: Set when a flush picks the request up: a timer firing before then
+    #: sheds it (no explain work was spent on it).
+    picked: bool = False
+    #: Set once the request is resolved (see ``_resolve``): its stats and
+    #: trace are final, and any later outcome is dropped.
+    done: bool = False
     #: Request-scoped trace the front-end opened (None for untraced
     #: embedders).  ``queue_span`` covers admission→flush-pickup;
     #: ``flush_span`` covers the flush the request rode in.
@@ -228,10 +227,10 @@ class ExplanationService:
         name no ``timeout_ms`` of their own; ``max_timeout_ms`` caps what
         a request may ask for (both ``None`` = unlimited).  A request
         whose deadline passes resolves with a typed
-        :class:`DeadlineExceededError` — shed before its flush when it
-        expired in the queue (no explain work spent), or mid-flush when
-        the batch outran its remaining budget.  Counted in
-        ``ServerStats.timeouts`` / ``shed_expired``.
+        :class:`DeadlineExceededError` at that moment — shed when it was
+        still queued (no explain work spent), or mid-flush when the batch
+        outran its budget (the explain still runs for its other waiters).
+        Counted in ``ServerStats.timeouts`` / ``shed_expired``.
     slow_query_ms:
         When set, any request whose queue→answer latency crosses the
         threshold bumps ``ServerStats.slow_queries`` and emits one
@@ -267,6 +266,7 @@ class ExplanationService:
             default_timeout_ms=default_timeout_ms,
             max_timeout_ms=max_timeout_ms,
             slow_query_ms=slow_query_ms,
+            trace_ring=trace_ring,
         )
         self.session = ExplainSession(model, table, config=config)
         self.model = model
@@ -309,10 +309,9 @@ class ExplanationService:
         The constructor runs this; :class:`~repro.serve.registry.
         ModelRegistry`, which builds its services lazily, runs it on its
         ``service_kwargs`` up front so a bad knob fails at boot, not on
-        the first request.  ``config``, ``trace_ring`` and ``trace_dir``
-        are accepted as given; any other name the constructor does not
-        take is refused.  NaN fails every comparison, so each check is
-        written to reject it.
+        the first request.  ``config`` and ``trace_dir`` are accepted as
+        given; any other name the constructor does not take is refused.
+        NaN fails every comparison, so each check is written to reject it.
         """
         if unknown:
             raise ServeError(
@@ -332,6 +331,8 @@ class ExplanationService:
                 raise ServeError(f"{name} must be finite and > 0, got {value}")
         if slow_query_ms is not None and not slow_query_ms >= 0:
             raise ServeError(f"slow_query_ms must be ≥ 0, got {slow_query_ms}")
+        if trace_ring < 0:
+            raise ServeError(f"trace_ring must be ≥ 0, got {trace_ring}")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -419,9 +420,11 @@ class ExplanationService:
         ``trace`` is the request-scoped trace the front-end opened (or
         ``None`` for untraced embedders — tracing is strictly opt-in, the
         no-op path costs nothing).  ``timeout_ms`` sets the request's
-        deadline (service default / cap applied; see the constructor) —
-        past it the future resolves with :class:`DeadlineExceededError`.
-        Raises the typed admission errors synchronously:
+        deadline (service default / cap applied; see the constructor): once
+        admitted, the request arms a loop timer that resolves the future
+        with :class:`DeadlineExceededError` when the budget runs out,
+        queued or mid-flush.  Raises the typed admission errors
+        synchronously, without arming a timer:
         :class:`ServiceClosedError` when draining/stopped,
         :class:`ServiceOverloadedError` when the queue is full.
         """
@@ -430,15 +433,13 @@ class ExplanationService:
         if self._closed:
             raise ServiceClosedError("service is draining; not accepting requests")
         timeout_ms = self._resolve_timeout_ms(timeout_ms)
-        enqueued_at = time.perf_counter()
+        loop = asyncio.get_running_loop()
         pending = _Pending(
             query=query,
             method=method,
-            future=asyncio.get_running_loop().create_future(),
-            enqueued_at=enqueued_at,
-            deadline=(
-                enqueued_at + timeout_ms / 1e3 if timeout_ms is not None else None
-            ),
+            future=loop.create_future(),
+            enqueued_at=time.perf_counter(),
+            timeout_ms=timeout_ms,
             trace=trace,
         )
         if trace is not None:
@@ -450,6 +451,8 @@ class ExplanationService:
             raise ServiceOverloadedError(
                 f"admission queue full ({self.queue_limit} pending); retry later"
             ) from None
+        if timeout_ms is not None:
+            pending.timer = loop.call_later(timeout_ms / 1e3, self._expire, pending)
         self.stats.submitted += 1
         return pending.future
 
@@ -489,9 +492,9 @@ class ExplanationService:
         from repro.core.view import summarize_view, view_queries
 
         view, specs = view_queries(view, self.table, orientation)
-        futures: list = []
-        admission_errors = 0
-        first_rejection: Exception | None = None
+        # A bad budget is the caller's bug: it fails the view, not each pair.
+        timeout_ms = self._resolve_timeout_ms(timeout_ms)
+        children: list[obs.Trace | None] = []
         for index, spec in enumerate(specs):
             child = (
                 obs.Trace(name="request", trace_id=f"{trace.trace_id}.{index}")
@@ -505,29 +508,22 @@ class ExplanationService:
                     pair=index,
                     view_trace=trace.trace_id,
                 )
-            try:
-                futures.append(
-                    self.submit(
-                        spec.query, method, trace=child, timeout_ms=timeout_ms
-                    )
-                )
-            except (ServiceOverloadedError, ServiceClosedError) as exc:
-                # Poison-pair isolation extends to admission: a rejected
-                # pair degrades one row, and only an entirely rejected
-                # view surfaces the typed admission error itself.
-                admission_errors += 1
-                first_rejection = first_rejection or exc
-                futures.append(exc)
-        if admission_errors == len(specs):
-            raise first_rejection
-        reports = await asyncio.gather(
-            *(f for f in futures if isinstance(f, asyncio.Future)),
+            children.append(child)
+        results = await asyncio.gather(
+            *(
+                self.explain(spec.query, method, trace=child, timeout_ms=timeout_ms)
+                for spec, child in zip(specs, children)
+            ),
             return_exceptions=True,
         )
-        results: list = []
-        landed = iter(reports)
-        for entry in futures:
-            results.append(entry if isinstance(entry, Exception) else next(landed))
+        # Poison-pair isolation extends to admission: a rejected pair
+        # degrades one row, and only an entirely rejected view surfaces
+        # the typed admission error itself.
+        if all(
+            isinstance(result, (ServiceOverloadedError, ServiceClosedError))
+            for result in results
+        ):
+            raise results[0]
         self.stats.views += 1
         return summarize_view(view, specs, results)
 
@@ -597,73 +593,55 @@ class ExplanationService:
                 return
             await self._flush(batch)
 
-    def _expire(self, pending: _Pending, *, shed: bool) -> None:
-        """Resolve one request with :class:`DeadlineExceededError` and
-        finalize its stats/trace.  ``shed`` marks a request whose deadline
-        passed while still queued (no explain work was spent on it)."""
-        if pending.future.done() or pending.expired:
-            return
-        pending.expired = True
-        self.stats.timeouts += 1
-        if shed:
-            self.stats.shed_expired += 1
-        latency_s = time.perf_counter() - pending.enqueued_at
-        self.stats.observe_latency(latency_s)
-        budget_ms = (
-            round((pending.deadline - pending.enqueued_at) * 1e3, 3)
-            if pending.deadline is not None
-            else None
-        )
+    def _expire(self, pending: _Pending) -> None:
+        """Deadline timer callback: resolve the request with
+        :class:`DeadlineExceededError`, as shed when no flush has picked it
+        up yet (no explain work was spent on it)."""
+        shed = not pending.picked
         if pending.trace is not None:
             pending.trace.root.tag(deadline_exceeded=True, shed=shed)
-        if pending.queue_span is not None:
-            pending.queue_span.finish()
-        self._finish_trace(pending, primary=None, failed=True, latency_s=latency_s)
-        pending.future.set_exception(
+        latency_ms = round((time.perf_counter() - pending.enqueued_at) * 1e3, 3)
+        self._resolve(
+            pending,
             DeadlineExceededError(
-                f"deadline exceeded after {round(latency_s * 1e3, 3)} ms "
-                f"(timeout_ms={budget_ms}"
+                f"deadline exceeded after {latency_ms} ms "
+                f"(timeout_ms={float(pending.timeout_ms)}"
                 + ("; expired while queued)" if shed else ")")
-            )
+            ),
+            primary=None,
         )
 
-    async def _await_with_deadlines(
-        self, coro, waiters: list[_Pending]
-    ) -> Any:
-        """Await one fan-out while enforcing the waiters' deadlines.
-
-        As each deadline passes, that waiter's future resolves with
-        :class:`DeadlineExceededError` — the explain keeps running for the
-        waiters still inside their budget.  Returns the fan-out's result,
-        or ``None`` when every waiter is already resolved (expired or
-        cancelled): the in-flight work is abandoned — it finishes on the
-        flush thread, its results dropped — so one stuck batch cannot hold
-        its requesters past their deadlines.
-        """
-        task = asyncio.ensure_future(coro)
-        while True:
-            live = [p for p in waiters if not p.future.done()]
-            if not live:
-                # Nobody is waiting for the answer: detach (consume the
-                # eventual exception so it never logs as unretrieved).
-                task.add_done_callback(_swallow_result)
-                return None
-            deadlines = [p.deadline for p in live if p.deadline is not None]
-            if not deadlines:
-                return await task
-            budget = min(deadlines) - time.perf_counter()
-            if budget <= 0:
-                now = time.perf_counter()
-                for p in live:
-                    if p.deadline is not None and p.deadline <= now:
-                        self._expire(p, shed=False)
-                continue
-            try:
-                # shield: a deadline firing must not cancel the explain —
-                # other waiters (or none — then abandoned above) remain.
-                return await asyncio.wait_for(asyncio.shield(task), budget)
-            except asyncio.TimeoutError:
-                continue  # loop expires whoever is due, then re-budgets
+    def _resolve(
+        self,
+        pending: _Pending,
+        outcome: XInsightReport | BaseException,
+        primary: _Pending | None,
+    ) -> None:
+        """Finalize one request exactly once: cancel its timer, observe its
+        latency, close its trace and set its future.  A report, an error
+        and a fired deadline all end here; a later outcome is dropped."""
+        if pending.done:
+            return
+        pending.done = True
+        if pending.timer is not None:
+            pending.timer.cancel()
+        failed = isinstance(outcome, BaseException)
+        if isinstance(outcome, DeadlineExceededError):
+            self.stats.timeouts += 1
+            if not pending.picked:
+                self.stats.shed_expired += 1
+        elif failed:
+            self.stats.failed += 1
+        else:
+            self.stats.completed += 1
+        latency_s = time.perf_counter() - pending.enqueued_at
+        self.stats.observe_latency(latency_s)
+        self._finish_trace(pending, primary, failed, latency_s)
+        if not pending.future.done():  # the waiter may have gone away
+            if failed:
+                pending.future.set_exception(outcome)
+            else:
+                pending.future.set_result(outcome)
 
     async def _flush(self, batch: list[_Pending]) -> None:
         """Serve one coalesced batch: dedup, one explain_batch, fan out."""
@@ -673,16 +651,8 @@ class ExplanationService:
             delay_s = fault_state.flush_delay_s()
             if delay_s:
                 await asyncio.sleep(delay_s)
-        # Admission-side deadline enforcement: a request that expired while
-        # queued is shed *before* the flush spends any work on it.
-        now = time.perf_counter()
-        live: list[_Pending] = []
-        for pending in batch:
-            if pending.deadline is not None and pending.deadline <= now:
-                self._expire(pending, shed=True)
-            else:
-                live.append(pending)
-        batch = live
+        # Requests whose timers fired while queued were shed there.
+        batch = [pending for pending in batch if not pending.done]
         if not batch:
             return
         # Requests are deduplicated per (query, method); explanations are
@@ -690,6 +660,7 @@ class ExplanationService:
         # the direct explain_batch call would have produced.
         groups: dict[tuple[WhyQuery, str], list[_Pending]] = {}
         for pending in batch:
+            pending.picked = True
             groups.setdefault((pending.query, pending.method), []).append(pending)
         self.stats.observe_batch(len(batch), len(groups))
         for pending in batch:
@@ -712,7 +683,6 @@ class ExplanationService:
         by_method: dict[str, list[WhyQuery]] = {}
         for query, method in groups:
             by_method.setdefault(method, []).append(query)
-        results: dict[tuple[WhyQuery, str], XInsightReport | BaseException] = {}
         for method, queries in by_method.items():
             traces: list[obs.Trace | None] = []
             for query in queries:
@@ -726,46 +696,17 @@ class ExplanationService:
                     traces.append(primary.trace)
                 else:
                     traces.append(None)
-            method_waiters = [
-                pending
-                for query in queries
-                for pending in groups[(query, method)]
-            ]
-            method_results = await self._await_with_deadlines(
-                self._explain_unique(loop, queries, method, traces),
-                method_waiters,
-            )
-            if method_results is not None:
-                results.update(method_results)
-            for query in queries:
+            # Deadlines are not watched here: a waiter whose timer fires
+            # mid-explain is resolved already, and _resolve skips it.  When
+            # all of them expire the flush still waits; the single flush
+            # thread could not start the next explain any sooner.
+            reports = await self._explain_unique(loop, queries, method, traces)
+            for query, outcome in zip(queries, reports):
                 primary = primaries[(query, method)]
                 if primary is not None and primary.trace is not None:
                     primary.trace.attach_at = primary.trace.root
-
-        now = time.perf_counter()
-        for key, waiters in groups.items():
-            if key not in results:
-                # The whole group's fan-out was abandoned: every waiter
-                # already holds its DeadlineExceededError.
-                continue
-            outcome = results[key]
-            failed = isinstance(outcome, BaseException)
-            primary = primaries[key]
-            for pending in waiters:
-                if pending.expired:
-                    continue  # already resolved + finalized by _expire
-                latency_s = now - pending.enqueued_at
-                self.stats.observe_latency(latency_s)
-                if failed:
-                    self.stats.failed += 1
-                else:
-                    self.stats.completed += 1
-                self._finish_trace(pending, primary, failed, latency_s)
-                if not pending.future.done():  # the waiter may have gone away
-                    if failed:
-                        pending.future.set_exception(outcome)
-                    else:
-                        pending.future.set_result(outcome)
+                for pending in groups[(query, method)]:
+                    self._resolve(pending, outcome, primary)
 
     def _finish_trace(
         self,
@@ -778,6 +719,8 @@ class ExplanationService:
         trace = pending.trace
         if trace is None:
             return
+        if pending.queue_span is not None:  # still open if shed in the queue
+            pending.queue_span.finish()
         if pending.flush_span is not None:
             if pending is not primary and primary is not None:
                 pending.flush_span.tag(
@@ -840,8 +783,9 @@ class ExplanationService:
         queries: list[WhyQuery],
         method: str,
         traces: list[obs.Trace | None],
-    ) -> dict[tuple[WhyQuery, str], XInsightReport | BaseException]:
-        """One ``explain_batch`` over the deduped queries of one method.
+    ) -> list[XInsightReport | BaseException]:
+        """One ``explain_batch`` over the deduped queries of one method,
+        one report or error per query, in order.
 
         ``on_error="return"`` gives per-query failure isolation inside the
         single batch call: a poison query fails only its own requesters,
@@ -857,22 +801,17 @@ class ExplanationService:
             executor=self.executor, traces=traces, on_error="return",
         )
         try:
-            reports: list[XInsightReport | BaseException] = (
-                await loop.run_in_executor(self._flush_pool, run)
-            )
+            return await loop.run_in_executor(self._flush_pool, run)
         except Exception:
             LOG.exception(
                 "batch explain failed; retrying query-at-a-time",
                 extra={"event": "batch_fallback", "queries": len(queries)},
             )
             self._fallback_retries += len(queries)
-            reports = await loop.run_in_executor(
+            return await loop.run_in_executor(
                 self._flush_pool,
                 partial(
                     self.session.explain_batch, queries, method=method,
                     traces=traces, on_error="return",
                 ),
             )
-        return {
-            (query, method): report for query, report in zip(queries, reports)
-        }

@@ -32,8 +32,9 @@ loudly unless the server exits cleanly (code 0, "drained" banner).
   TCP request line dropped pre-dispatch) and the same bursts are replayed
   through a reconnect-on-sever client.  The run fails unless every query
   is answered **byte-identically** to the clean run (zero wrong answers
-  under recovery), a 1 ms-deadline request resolves as a typed
-  ``DeadlineExceededError``, the stats report ``worker_restarts`` /
+  under recovery), every dropped connection reaches the client as EOF
+  (never only as its read timeout), a 1 ms-deadline request resolves as a
+  typed ``DeadlineExceededError``, the stats report ``worker_restarts`` /
   ``retries`` / ``timeouts`` actually happened, and the drain still exits
   cleanly.  A JSON-lines chaos log lands in ``$REPRO_SMOKE_CHAOS_LOG``
   (default: the temp dir) for CI to upload as an artifact.
@@ -405,17 +406,28 @@ class _ChaosLog:
 def _resilient_pipeline(client, payloads, log, label, attempts=16):
     """Pipeline a burst, reconnecting and resending when chaos severs the
     connection.  Safe: the drop fault fires *before* dispatch (the request
-    never executed) and explains are pure/idempotent either way."""
+    never executed) and explains are pure/idempotent either way.
+
+    A sever the client found only by its read timeout fails the run: the
+    server closed that connection, but something (a forked pool worker
+    holding the socket) kept the close from reaching the client as EOF.
+    """
     from repro.errors import ServeError
 
     for attempt in range(attempts):
         try:
             return client.pipeline(payloads)
         except ServeError as exc:
+            timed_out = isinstance(exc.__cause__, TimeoutError)
             log.event(
                 "connection_severed", label=label, attempt=attempt,
-                error=str(exc),
+                error=str(exc), timed_out=timed_out,
             )
+            if timed_out:
+                raise RuntimeError(
+                    f"{label}: a severed connection surfaced only as a "
+                    f"client timeout, not as EOF: {exc}"
+                ) from exc
             time.sleep(_retry_delay_s(attempt))
             client.reconnect()
     raise RuntimeError(

@@ -655,3 +655,51 @@ class TestUnreadableCsv:
         ]
         assert len(errors) == 1 and bad_csv in errors[0]
         assert captured.out == ""
+
+
+class TestUnreadableModel:
+    """A model file that cannot be read is a typed error naming the path."""
+
+    @pytest.fixture(params=["missing", "directory", "not-utf8"])
+    def bad_model(self, request, tmp_path):
+        path = tmp_path / "model.json"
+        if request.param == "directory":
+            path.mkdir()
+        elif request.param == "not-utf8":
+            path.write_bytes(b'{"schema": "\xff\xfe"}')
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        ["inspect", "explain", "batch-explain", "explain-view", "serve"],
+    )
+    def test_exits_2_with_one_error_line(
+        self, bad_model, lungcancer_csv, tmp_path, capsys, monkeypatch, command
+    ):
+        def boot(*args, **kwargs):
+            raise AssertionError("serve booted without a readable model")
+
+        monkeypatch.setattr("repro.cli.run_stack", boot)
+        queries = tmp_path / "q.json"
+        queries.write_text(json.dumps([{
+            "s1": {"Location": "A"}, "s2": {"Location": "B"},
+            "measure": "LungCancer", "agg": "AVG",
+        }]))
+        argv = {
+            "inspect": [bad_model],
+            "explain": [lungcancer_csv, "--model", bad_model, "--s1",
+                        "Location=A", "--s2", "Location=B",
+                        "--measure", "LungCancer"],
+            "batch-explain": [lungcancer_csv, "--model", bad_model,
+                              "--queries", str(queries)],
+            "explain-view": [lungcancer_csv, "--model", bad_model,
+                             "--by", "Location", "--measure", "LungCancer"],
+            "serve": [lungcancer_csv, "--model", bad_model, "--port", "0"],
+        }[command]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.err.splitlines() if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and bad_model in errors[0]
+        assert captured.out == ""

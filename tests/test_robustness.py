@@ -365,6 +365,20 @@ class TestProcessExecutorSelfHealing:
 
         assert asyncio.run(scenario()) is False
 
+    def test_worker_drops_inherited_sockets(self):
+        # A socket the parent closes must reach EOF at its peer even when a
+        # worker was forked while the socket was open.
+        ours, peer = socket.socketpair()
+        try:
+            with ProcessExecutor(1) as ex:
+                ex.map(_PidTask(), [None])
+                ours.close()
+                peer.settimeout(2.0)
+                assert peer.recv(1) == b""
+        finally:
+            ours.close()
+            peer.close()
+
     def test_max_restarts_validated(self):
         with pytest.raises(ReproError, match="max_restarts"):
             ProcessExecutor(2, max_restarts=-1)
@@ -413,6 +427,17 @@ class TestProcessExecutorSelfHealing:
 # ----------------------------------------------------------------------
 # Request deadlines
 # ----------------------------------------------------------------------
+
+
+def _slow_flushes(service, seconds):
+    """Make every flush of ``service`` take at least ``seconds``."""
+    explain_batch = service.session.explain_batch
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return explain_batch(*args, **kwargs)
+
+    service.session.explain_batch = slow
 
 
 class TestDeadlines:
@@ -467,76 +492,74 @@ class TestDeadlines:
         self, serve_model, serve_table, serve_queries
     ):
         """One waiter's deadline firing must not cancel the shared explain
-        the remaining waiters need."""
-        from repro.serve.service import _Pending
-
-        service = ExplanationService(serve_model, serve_table)
+        the other waiter needs."""
 
         async def scenario():
-            loop = asyncio.get_running_loop()
+            async with ExplanationService(serve_model, serve_table) as service:
+                _slow_flushes(service, 0.5)
+                started = time.perf_counter()
+                expiring = service.submit(serve_queries[0], timeout_ms=20)
+                patient = service.submit(serve_queries[0])
+                with pytest.raises(DeadlineExceededError) as expired:
+                    await expiring
+                waited = time.perf_counter() - started
+                return service.stats, expired.value, waited, await patient
 
-            async def slow_work():
-                await asyncio.sleep(0.05)
-                return {"answer": 42}
+        stats, error, waited, report = run(scenario())
+        assert str(error).endswith("(timeout_ms=20.0)")  # not shed
+        assert waited < 0.25  # at its deadline, not when the flush ends
+        assert report.query.agg is serve_queries[0].agg
+        assert stats.timeouts == 1
+        assert stats.shed_expired == 0
+        assert stats.completed == 1
 
-            now = time.perf_counter()
-            expiring = _Pending(
-                query=serve_queries[0], method="auto",
-                future=loop.create_future(), enqueued_at=now,
-                deadline=now + 0.005,
-            )
-            patient = _Pending(
-                query=serve_queries[0], method="auto",
-                future=loop.create_future(), enqueued_at=now,
-            )
-            result = await service._await_with_deadlines(
-                slow_work(), [expiring, patient]
-            )
-            assert result == {"answer": 42}  # the work survived
-            assert expiring.expired
-            with pytest.raises(DeadlineExceededError):
-                expiring.future.result()
-            # The patient waiter is resolved by the fan-out loop, not here.
-            assert not patient.future.done()
-
-        run(scenario())
-        assert service.stats.timeouts == 1
-        assert service.stats.shed_expired == 0
-
-    def test_all_waiters_expired_abandons_the_fanout(
+    def test_service_answers_after_a_flush_whose_waiters_all_expired(
         self, serve_model, serve_table, serve_queries
     ):
-        from repro.serve.service import _Pending
+        async def scenario():
+            async with ExplanationService(serve_model, serve_table) as service:
+                _slow_flushes(service, 0.2)
+                expired = await asyncio.gather(
+                    service.explain(serve_queries[0], timeout_ms=20),
+                    service.explain(serve_queries[1], timeout_ms=20),
+                    return_exceptions=True,
+                )
+                return service.stats, expired, await service.explain(
+                    serve_queries[2]
+                )
 
-        service = ExplanationService(serve_model, serve_table)
+        stats, expired, report = run(scenario())
+        assert all(isinstance(e, DeadlineExceededError) for e in expired)
+        assert report.query.agg is serve_queries[2].agg
+        assert stats.timeouts == 2
+        assert stats.shed_expired == 0
+        assert stats.completed == 1
+
+    def test_queued_request_expires_on_time_behind_a_slow_flush(
+        self, serve_model, serve_table, serve_queries
+    ):
+        """A queued request's deadline fires while an earlier flush with no
+        deadline of its own still runs, not when that flush ends."""
 
         async def scenario():
-            loop = asyncio.get_running_loop()
+            async with ExplanationService(serve_model, serve_table) as service:
+                _slow_flushes(service, 0.5)
+                blocker = service.submit(serve_queries[0])
+                await asyncio.sleep(0.05)  # the blocker's flush is running
+                started = time.perf_counter()
+                with pytest.raises(
+                    DeadlineExceededError, match="expired while queued"
+                ):
+                    await service.explain(serve_queries[1], timeout_ms=20)
+                waited = time.perf_counter() - started
+                await blocker
+                return service.stats, waited
 
-            async def slow_work():
-                await asyncio.sleep(0.03)
-                return "too late"
-
-            now = time.perf_counter()
-            waiters = [
-                _Pending(
-                    query=serve_queries[0], method="auto",
-                    future=loop.create_future(), enqueued_at=now,
-                    deadline=now + 0.002,
-                )
-                for _ in range(2)
-            ]
-            result = await service._await_with_deadlines(slow_work(), waiters)
-            assert result is None  # nobody left to receive it
-            for pending in waiters:
-                assert pending.expired
-                with pytest.raises(DeadlineExceededError):
-                    pending.future.result()
-            # Let the abandoned task finish; its result is swallowed.
-            await asyncio.sleep(0.05)
-
-        run(scenario())
-        assert service.stats.timeouts == 2
+        stats, waited = run(scenario())
+        assert waited < 0.25  # the flush ahead of it runs ~0.45 s more
+        assert stats.timeouts == 1
+        assert stats.shed_expired == 1
+        assert stats.completed == 1
 
 
 class TestDeadlineWireMapping:

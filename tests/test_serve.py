@@ -644,6 +644,23 @@ class TestExplainViewServing:
         assert views == 1
         assert completed >= 1  # dedup may fold repeated pair queries
 
+    def test_service_view_degrades_rejected_pairs(self, model, table):
+        """A pair refused at admission is one errored row; a view whose
+        every pair is refused raises the typed admission error itself."""
+
+        async def scenario():
+            async with ExplanationService(model, table, queue_limit=1) as service:
+                summary = await service.explain_view(VIEW_SPEC)
+            with pytest.raises(ServiceClosedError):
+                await service.explain_view(VIEW_SPEC)
+            return summary, service.stats.views
+
+        summary, views = run(scenario())
+        errors = [pair.error for pair in summary.pairs]
+        assert errors[0] is None and len(errors) > 1
+        assert all(e.startswith("ServiceOverloadedError") for e in errors[1:])
+        assert views == 1
+
     def test_service_view_rejects_malformed_spec(self, model, table):
         from repro.errors import QueryError
 

@@ -229,13 +229,33 @@ class TestServiceTracing:
         assert payload["otherData"]["trace_id"] == "file-1"
         assert any(e["ph"] == "X" for e in payload["traceEvents"])
 
-    def test_invalid_trace_knobs_are_typed(self, model, table):
+    def test_invalid_trace_knobs_are_typed(
+        self, model, table, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.data import write_csv
         from repro.errors import ServeError
 
         with pytest.raises(ServeError):
             ExplanationService(model, table, slow_query_ms=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ServeError, match="trace_ring"):
             ExplanationService(model, table, trace_ring=-1)
+        with pytest.raises(ServeError, match="trace_ring"):
+            ModelRegistry(tmp_path, service_kwargs={"trace_ring": -1})
+
+        def boot(*args, **kwargs):
+            raise AssertionError("serve booted with a negative trace ring")
+
+        monkeypatch.setattr("repro.cli.run_stack", boot)
+        write_csv(table, tmp_path / "data.csv")
+        model.save(tmp_path / "model.json")
+        for shape in (
+            [str(tmp_path / "data.csv"), "--model", str(tmp_path / "model.json")],
+            ["--registry", str(tmp_path)],
+        ):
+            assert main(["serve", *shape, "--trace-ring", "-1", "--port", "0"]) == 2
+            errors = capsys.readouterr().err.splitlines()
+            assert errors == ["error: trace_ring must be ≥ 0, got -1"]
 
     def test_poison_query_counts_each_query_once(self, model, table, query):
         # Satellite 3: the service's on_error="return" batch attempts each
