@@ -422,6 +422,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace_ring=args.trace_ring,
         trace_dir=args.trace_dir,
     )
+    # Like ``fit``, refuse a bad knob before reading any data or model.
+    ExplanationService.check_knobs(**service_kwargs)
     service: ExplanationService | None = None
     if args.registry:
         if args.file or args.store or args.model:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -82,11 +81,12 @@ class XInsightModel:
     max_dsep_size: int | None = DEFAULT_MAX_DSEP_SIZE
     measure_bins: int = DEFAULT_MEASURE_BINS
     fit_profile: dict[str, Any] | None = field(default=None, compare=False)
-    """Phase profile of the fit that produced this model (``repro inspect``
-    surfaces it).  Save-time metadata like the fingerprint: excluded from
-    :meth:`to_dict`, the content hash, and equality — two fits with
-    identical learned content stay interchangeable artifacts no matter how
-    long each phase took."""
+    """Phase profile of the fit that produced this model, read off its
+    ``fit`` span by :func:`fit_profile_of` (``repro inspect`` prints it).
+    Save-time metadata like the fingerprint: excluded from :meth:`to_dict`,
+    the content hash, and equality — two fits with identical learned
+    content stay interchangeable artifacts no matter how long each phase
+    took."""
 
     # ------------------------------------------------------------------
     # Online-phase helpers
@@ -310,50 +310,33 @@ def fit_model(
     knobs fail :func:`check_fit_knobs`.
     """
     check_fit_knobs(alpha, max_depth, max_dsep_size)
-    fit_started = time.perf_counter()
-    graph_table = table
-    aliases: dict[str, str] = {}
-    specs: dict[str, BinSpec] = {}
-    with obs.span("discretize", measures=len(table.measures)):
-        for measure in table.measures:
-            spec = fit_bins(table, measure, n_bins=measure_bins)
-            graph_table = spec.apply(graph_table)
-            aliases[measure] = spec.column
-            specs[measure] = spec
-    discretize_seconds = round(time.perf_counter() - fit_started, 6)
-    if columns is None:
-        columns = graph_table.dimensions
-    columns = tuple(columns)
-    if ci_test is None:
-        # One columnar encoding + strata cache shared by every CI probe
-        # of the offline phase (see repro.independence.engine).
-        from repro.discovery.fci import default_ci_test
-
-        ci_test = default_ci_test(graph_table, alpha=alpha)
-    learner = xlearner(
-        graph_table,
-        columns=columns,
-        ci_test=ci_test,
-        alpha=alpha,
-        max_depth=max_depth,
-        max_dsep_size=max_dsep_size,
-        workers=workers,
-        executor=executor,
-    )
-    profile: dict[str, Any] = {
-        "total_seconds": round(time.perf_counter() - fit_started, 6),
-        "rows": table.n_rows,
-        "columns": len(columns),
-        "phases": [
-            {
-                "name": "discretize",
-                "seconds": discretize_seconds,
-                "measures": len(table.measures),
-            },
-            *learner.profile.get("phases", []),
-        ],
-        "skeleton_depths": learner.profile.get("skeleton_depths", []),
-    }
+    # The fit's spans are its only clock: under the caller's trace when one
+    # is active, else under a private one, so every fit has its profile.
+    private = None if obs.current_trace() is not None else obs.Trace(name="fit")
+    with obs.activate(private), obs.span("fit", rows=table.n_rows) as fit:
+        graph_table = table
+        aliases: dict[str, str] = {}
+        specs: dict[str, BinSpec] = {}
+        with obs.span("discretize", measures=len(table.measures)):
+            for measure in table.measures:
+                spec = fit_bins(table, measure, n_bins=measure_bins)
+                graph_table = spec.apply(graph_table)
+                aliases[measure] = spec.column
+                specs[measure] = spec
+        if columns is None:
+            columns = graph_table.dimensions
+        columns = tuple(columns)
+        fit.tag(columns=len(columns))
+        learner = xlearner(
+            graph_table,
+            columns=columns,
+            ci_test=ci_test,
+            alpha=alpha,
+            max_depth=max_depth,
+            max_dsep_size=max_dsep_size,
+            workers=workers,
+            executor=executor,
+        )
     return XInsightModel(
         pag=learner.pag,
         sepsets=learner.fci_result.sepsets,
@@ -365,5 +348,35 @@ def fit_model(
         max_depth=max_depth,
         max_dsep_size=max_dsep_size,
         measure_bins=measure_bins,
-        fit_profile=profile,
+        fit_profile=fit_profile_of(fit),
     )
+
+
+def fit_profile_of(fit: obs.Span) -> dict[str, Any]:
+    """The persisted fit profile, read off a finished ``fit`` span.
+
+    Each child span is a phase: its duration is the phase's ``seconds``
+    (rounded to 6 places) and its tags are the phase's counts.  The
+    ``fci`` phase nests its sub-phases the same way, and every
+    ``skeleton.depth`` span below them is one ``skeleton_depths`` entry.
+    """
+
+    def timed(span: obs.Span) -> dict[str, Any]:
+        return {"name": span.name, "seconds": round(span.duration_s, 6), **span.tags}
+
+    phases = []
+    for span in fit.children:
+        phase = timed(span)
+        if span.children:
+            phase["phases"] = [timed(sub) for sub in span.children]
+        phases.append(phase)
+    return {
+        "total_seconds": round(fit.duration_s, 6),
+        **fit.tags,
+        "phases": phases,
+        "skeleton_depths": [
+            {**span.tags, "seconds": round(span.duration_s, 6)}
+            for span in fit.walk()
+            if span.name == "skeleton.depth"
+        ],
+    }

@@ -14,13 +14,16 @@ Three stages, literally following Alg. 1:
    zero-noise forward ANM and almost never a backward one), giving G2.
 
 The returned FD-augmented PAG G concatenates G1 and G2 (line 17).
+
+FD detection and the three stages each run in one span (``fd_detect``,
+``fd_peel``, ``fci``, ``fd_orient``) tagged with their counts;
+:func:`repro.core.model.fit_model` reads the persisted fit profile off them.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro import obs
 from repro.data.table import Table
@@ -42,11 +45,6 @@ class XLearnerResult:
     """S2: (peeled node, chosen parent) pairs, in peeling order."""
     fci_result: FCIResult
     """G1: the PAG learned by FCI over the FD-root variables."""
-    profile: dict[str, Any] = field(default_factory=dict)
-    """Phase timings of this discovery run (``{"phases": [...],
-    "skeleton_depths": [...]}``, JSON-safe) — the offline half of the
-    observability story; :func:`repro.core.model.fit_model` persists it
-    into the model's fit metadata."""
 
     @property
     def graph(self) -> MixedGraph:
@@ -114,18 +112,10 @@ def xlearner(
     columns = tuple(columns)
     if len(columns) < 2:
         raise DiscoveryError("XLearner needs at least two variables")
-    phases: list[dict[str, Any]] = []
     if fd_graph is None:
-        phase_started = time.perf_counter()
-        with obs.span("fd_detect"):
+        with obs.span("fd_detect") as sp:
             fd_graph = fd_graph_from_table(table, columns, tolerance=fd_tolerance)
-        phases.append(
-            {
-                "name": "fd_detect",
-                "seconds": round(time.perf_counter() - phase_started, 6),
-                "fd_edges": fd_graph.graph.n_edges,
-            }
-        )
+            sp.tag(fd_edges=fd_graph.graph.n_edges)
     if ci_test is None:
         # The vectorized columnar engine: skeleton learning batches its
         # probes through it depth by depth (parity with the per-stratum
@@ -135,16 +125,9 @@ def xlearner(
     cardinality = {c: table.cardinality(c) for c in columns if c in table.dimensions}
 
     # Stage 1: peel FD sinks into the harmonious skeleton S2.
-    phase_started = time.perf_counter()
-    with obs.span("fd_peel"):
+    with obs.span("fd_peel") as sp:
         s2_edges = peel_fd_sinks(fd_graph, cardinality)
-    phases.append(
-        {
-            "name": "fd_peel",
-            "seconds": round(time.perf_counter() - phase_started, 6),
-            "peeled": len(s2_edges),
-        }
-    )
+        sp.tag(peeled=len(s2_edges))
     peeled = {x for x, _ in s2_edges}
 
     # Stage 2: standard PAG learning over the faithfulness-compliant rest.
@@ -153,10 +136,11 @@ def xlearner(
     fci_nodes = tuple(
         n for n in fd_graph.nodes if n not in peeled
     )
-    phase_started = time.perf_counter()
-    with executor_scope(workers, executor) as ex:
-        warn_if_unsharded(ci_test, ex)
-        with obs.span("fci"):
+    # The span holds the executor scope, so a pool's start and stop count
+    # towards the phase.
+    with obs.span("fci") as sp:
+        with executor_scope(workers, executor) as ex:
+            warn_if_unsharded(ci_test, ex)
             fci_result = fci(
                 fci_nodes,
                 ci_test,
@@ -164,41 +148,23 @@ def xlearner(
                 max_dsep_size=max_dsep_size,
                 executor=ex,
             )
-    phases.append(
-        {
-            "name": "fci",
-            "seconds": round(time.perf_counter() - phase_started, 6),
-            "tests": fci_result.tests_run,
-            "variables": len(fci_nodes),
-            "phases": fci_result.profile.get("phases", []),
-        }
-    )
+        sp.tag(tests=fci_result.tests_run, variables=len(fci_nodes))
 
     # Stage 3: orient S2 along the FDs and concatenate (lines 13–17).
-    phase_started = time.perf_counter()
-    pag = fci_result.pag.copy()
-    for x, y in s2_edges:
-        pag.add_node(x)
-    for x, y in reversed(s2_edges):
-        # S2 contains the edge X—Y; G_FD holds Y --FD--> X (Y determines X)
-        # or X --FD--> Y depending on peeling direction: X was the sink, so
-        # the FD runs parent → sink, i.e. Y --FD--> X, oriented Y → X.
-        if not pag.has_edge(x, y):
-            pag.add_directed_edge(y, x)
-        else:  # pragma: no cover - S2 edges are new by construction
-            pag.orient(y, x)
-    if knowledge is not None and not knowledge.is_empty:
-        from repro.discovery.knowledge import apply_background_knowledge
+    with obs.span("fd_orient"):
+        pag = fci_result.pag.copy()
+        for x, y in s2_edges:
+            pag.add_node(x)
+        for x, y in reversed(s2_edges):
+            # S2 contains the edge X—Y; G_FD holds Y --FD--> X (Y determines X)
+            # or X --FD--> Y depending on peeling direction: X was the sink, so
+            # the FD runs parent → sink, i.e. Y --FD--> X, oriented Y → X.
+            if not pag.has_edge(x, y):
+                pag.add_directed_edge(y, x)
+            else:  # pragma: no cover - S2 edges are new by construction
+                pag.orient(y, x)
+        if knowledge is not None and not knowledge.is_empty:
+            from repro.discovery.knowledge import apply_background_knowledge
 
-        pag = apply_background_knowledge(pag, knowledge)
-    phases.append(
-        {
-            "name": "fd_orient",
-            "seconds": round(time.perf_counter() - phase_started, 6),
-        }
-    )
-    profile = {
-        "phases": phases,
-        "skeleton_depths": fci_result.profile.get("skeleton_depths", []),
-    }
-    return XLearnerResult(pag, fd_graph, s2_edges, fci_result, profile)
+            pag = apply_background_knowledge(pag, knowledge)
+    return XLearnerResult(pag, fd_graph, s2_edges, fci_result)

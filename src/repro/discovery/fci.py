@@ -8,11 +8,10 @@ tests) and with statistical tests on data (benchmarks).
 
 from __future__ import annotations
 
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from repro import obs
 from repro.discovery.orientation import apply_fci_rules
@@ -36,10 +35,6 @@ class FCIResult:
     pag: MixedGraph
     sepsets: SepsetMap
     tests_run: int
-    #: Phase profile: ``{"phases": [{"name", "seconds", ...}],
-    #: "skeleton_depths": [...]}`` (JSON-safe; flows into the model's
-    #: persisted fit profile).
-    profile: dict[str, Any] = field(default_factory=dict)
 
 
 def possible_d_sep(graph: MixedGraph, x: Node) -> set[Node]:
@@ -121,27 +116,22 @@ def fci(
         to serial; see :func:`~repro.discovery.skeleton.learn_skeleton`).
         The Possible-D-SEP phase stays sequential but re-tests nothing a
         sharded skeleton already probed when ``ci_test`` caches.
+
+    The three phases run in ``skeleton``, ``possible_d_sep`` and
+    ``orientation`` spans, the first two tagged with the CI tests they ran;
+    a fit's persisted profile reads its FCI sub-phases off those spans.
     """
     start_calls = ci_test.calls
-    phases: list[dict[str, Any]] = []
-    phase_started = time.perf_counter()
-    with obs.span("skeleton"):
+    with obs.span("skeleton") as sp:
         skel: SkeletonResult = learn_skeleton(
             nodes, ci_test, max_depth, executor=executor
         )
-    phases.append(
-        {
-            "name": "skeleton",
-            "seconds": round(time.perf_counter() - phase_started, 6),
-            "tests": skel.tests_run,
-        }
-    )
+        sp.tag(tests=skel.tests_run)
     graph = skel.graph
     sepsets = skel.sepsets
 
-    phase_started = time.perf_counter()
     calls_before = ci_test.calls
-    with obs.span("possible_d_sep"):
+    with obs.span("possible_d_sep") as sp:
         orient_colliders(graph, sepsets)
         if use_possible_d_sep:
             removed = _possible_d_sep_prune(graph, sepsets, ci_test, max_dsep_size)
@@ -151,25 +141,11 @@ def fci(
                     graph.set_mark(u, v, Endpoint.CIRCLE)
                     graph.set_mark(v, u, Endpoint.CIRCLE)
                 orient_colliders(graph, sepsets)
-    phases.append(
-        {
-            "name": "possible_d_sep",
-            "seconds": round(time.perf_counter() - phase_started, 6),
-            "tests": ci_test.calls - calls_before,
-        }
-    )
+        sp.tag(tests=ci_test.calls - calls_before)
 
-    phase_started = time.perf_counter()
     with obs.span("orientation"):
         apply_fci_rules(graph, sepsets, complete_rules=complete_rules)
-    phases.append(
-        {
-            "name": "orientation",
-            "seconds": round(time.perf_counter() - phase_started, 6),
-        }
-    )
-    profile = {"phases": phases, "skeleton_depths": skel.profile}
-    return FCIResult(graph, sepsets, ci_test.calls - start_calls, profile)
+    return FCIResult(graph, sepsets, ci_test.calls - start_calls)
 
 
 def warn_if_unsharded(ci_test: CITest, executor) -> None:

@@ -27,10 +27,9 @@ what makes parallel discovery exact rather than approximate.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.graph.endpoints import Endpoint
@@ -108,11 +107,6 @@ class SkeletonResult:
     graph: MixedGraph
     sepsets: SepsetMap
     tests_run: int
-    #: Per-depth profile records: ``{"depth", "pairs", "probes",
-    #: "edges_removed", "tests", "seconds"}`` plus ``"cache_hits"`` when
-    #: the CI test exposes cache counters (JSON-safe; persisted into the
-    #: model's fit profile).
-    profile: list[dict[str, Any]] = field(default_factory=list)
 
 
 def _depth_visits(
@@ -162,6 +156,11 @@ def learn_skeleton(
     so the skeleton and sepsets stay byte-identical to the serial path no
     matter the worker count.  It only engages on the batched strategy;
     the sequential strategy's first-hit early exit is inherently ordered.
+
+    Each depth runs in a ``skeleton.depth`` span tagged with its counts
+    (``pairs``, ``probes``, ``edges_removed``, ``tests``, plus
+    ``cache_hits`` when the CI test caches); a fit's persisted
+    ``skeleton_depths`` profile is read off those spans.
     """
     graph = MixedGraph(nodes)
     for x, y in combinations(nodes, 2):
@@ -170,12 +169,10 @@ def learn_skeleton(
     start_calls = ci_test.calls
     use_batch = getattr(ci_test, "supports_batch", False) if batch is None else batch
 
-    profile: list[dict[str, Any]] = []
     depth = 0
     while True:
         if max_depth is not None and depth > max_depth:
             break
-        depth_started = time.perf_counter()
         calls_before = ci_test.calls
         hits_before = getattr(ci_test, "hits", None)
         with obs.span("skeleton.depth", depth=depth) as sp:
@@ -227,30 +224,26 @@ def learn_skeleton(
                     graph.remove_edge(x, y)
                 sepsets.record(x, y, z)
 
-        entry: dict[str, Any] = {
-            "depth": depth,
-            "pairs": len(visits),
-            "probes": sum(len(subsets) for _, _, subsets in visits),
-            "edges_removed": len(to_remove),
-            "tests": ci_test.calls - calls_before,
-            "seconds": round(time.perf_counter() - depth_started, 6),
-        }
-        if hits_before is not None:
-            entry["cache_hits"] = getattr(ci_test, "hits", 0) - hits_before
-        profile.append(entry)
-        if sp:
-            sp.tag(**{key: val for key, val in entry.items() if key != "depth"})
+            counts = {
+                "pairs": len(visits),
+                "probes": sum(len(subsets) for _, _, subsets in visits),
+                "edges_removed": len(to_remove),
+                "tests": ci_test.calls - calls_before,
+            }
+            if hits_before is not None:
+                counts["cache_hits"] = getattr(ci_test, "hits", 0) - hits_before
+            sp.tag(**counts)
         LOG.debug(
             "skeleton depth %d: %d probes, %d removed",
             depth,
-            entry["probes"],
-            entry["edges_removed"],
-            extra={"event": "skeleton_depth", **entry},
+            counts["probes"],
+            counts["edges_removed"],
+            extra={"event": "skeleton_depth", "depth": depth, **counts},
         )
         if not any_candidate:
             break
         depth += 1
-    return SkeletonResult(graph, sepsets, ci_test.calls - start_calls, profile)
+    return SkeletonResult(graph, sepsets, ci_test.calls - start_calls)
 
 
 def orient_colliders(

@@ -2,9 +2,13 @@
 
 A :class:`Trace` is created once per request at a front-end (HTTP gateway,
 TCP server, CLI) and carries a 16-hex-char trace id plus a tree of
-:class:`Span` records.  Instrumented code never touches the trace object
-directly — it calls the module-level :func:`span` context manager, which
-looks up the active trace in a :class:`~contextvars.ContextVar`:
+:class:`Span` records.  The offline fit always runs traced:
+:func:`repro.core.model.fit_model` opens a ``fit`` span under the caller's
+trace, or under a private one when none is active, and reads the model's
+persisted phase profile off that span's subtree.  Instrumented code never
+touches the trace object directly — it calls the module-level
+:func:`span` context manager, which looks up the active trace in a
+:class:`~contextvars.ContextVar`:
 
 * no trace active → :data:`NULL_SPAN` is yielded.  It is falsy, its
   ``tag`` is a no-op, and the whole code path costs one contextvar read

@@ -29,6 +29,8 @@ import logging
 import os
 import signal
 import stat
+import threading
+import time
 import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -44,6 +46,9 @@ REPRO_WORKERS_ENV = "REPRO_WORKERS"
 #: How many pool rebuilds one ``ProcessExecutor.map`` call may spend on
 #: worker deaths before it degrades to in-process serial execution.
 DEFAULT_MAX_RESTARTS = 3
+
+#: How often a pool worker checks that the process that forked it lives.
+_PARENT_POLL_S = 0.5
 
 
 class ShardTask:
@@ -138,6 +143,18 @@ def _drop_inherited_sockets() -> None:
         os.close(devnull)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Watchdog of a pool worker: exit once its parent is gone.
+
+    A parent killed by SIGKILL never shuts its pool down, so a worker
+    waiting for its next shard would wait on as an orphan.  An orphan is
+    re-parented, which changes ``os.getppid()``.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _process_init(task: ShardTask) -> None:
     global _WORKER_TASK, _WORKER_STATE
     # A forked worker inherits the parent's signal set-up, including a
@@ -147,6 +164,10 @@ def _process_init(task: ShardTask) -> None:
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _drop_inherited_sockets()
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True,
+        name="repro-parent-watch",
+    ).start()
     _WORKER_TASK = task
     _WORKER_STATE = task.build_state()
 

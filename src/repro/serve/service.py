@@ -793,7 +793,8 @@ class ExplanationService:
         each attempt once (no batch-then-retry double counting).  The
         outer fallback only fires on infrastructure-level failures (a dead
         executor, an unpicklable payload) — it retries query-at-a-time on
-        the in-process session so the batch's requesters still get
+        the in-process session (``workers=1``: never a fresh pool, whatever
+        ``REPRO_WORKERS`` says) so the batch's requesters still get
         individual answers.
         """
         run = partial(
@@ -812,6 +813,6 @@ class ExplanationService:
                 self._flush_pool,
                 partial(
                     self.session.explain_batch, queries, method=method,
-                    traces=traces, on_error="return",
+                    workers=1, traces=traces, on_error="return",
                 ),
             )

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -262,6 +263,22 @@ class TestFitCommand:
         ]
         assert len(errors) == 1 and flag[0][2:].replace("-", "_") in errors[0]
         assert not out.exists()
+
+    def test_inspect_prints_the_fit_profile(self, lung_model, capsys):
+        assert main(["inspect", lung_model]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        profile = json.loads(open(lung_model).read())["profile"]
+        timed = r"\s+[\d.]+ m?s"
+        phases = [m[1] for line in lines if (m := re.match(rf"  (\w+){timed}", line))]
+        subs = [m[1] for line in lines if (m := re.match(rf"    (\w+){timed}", line))]
+        depths = [
+            int(m[1]) for line in lines
+            if (m := re.match(rf"    depth (\d+):{timed} \(.*tests=", line))
+        ]
+        assert f"fit profile: {profile['rows']} rows" in lines[3]
+        assert phases == ["discretize", "fd_detect", "fd_peel", "fci", "fd_orient"]
+        assert subs == ["skeleton", "possible_d_sep", "orientation"]
+        assert depths == list(range(len(profile["skeleton_depths"])))
 
     def test_explain_serves_saved_model(self, lungcancer_csv, lung_model, capsys):
         code = main(
@@ -594,6 +611,32 @@ class TestServeRegistryArgs:
         assert main(["serve", lungcancer_csv, "--port", "0"]) == 2
         err = capsys.readouterr().err
         assert "--model" in err and "--registry" in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--trace-ring", "-1"),
+            ("--max-batch", "0"),
+            ("--queue-limit", "0"),
+            ("--workers", "0"),
+            ("--default-timeout-ms", "nan"),
+            ("--slow-query-ms", "-1"),
+        ],
+    )
+    def test_bad_serve_knob_exits_2_before_reading_data(
+        self, lungcancer_csv, lung_model, capsys, monkeypatch, flag
+    ):
+        def unread(path, *args, **kwargs):
+            raise AssertionError(f"serve read {path} before checking its knobs")
+
+        monkeypatch.setattr("repro.cli.read_csv", unread)
+        argv = ["serve", lungcancer_csv, "--model", lung_model, "--port", "0"]
+        assert main([*argv, *flag]) == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and flag[0][2:].replace("-", "_") in errors[0]
 
 
 class TestServingNeedsAModel:

@@ -398,3 +398,42 @@ class TestOfflineProfile:
         loaded = type(model).load(path)
         assert loaded.fit_profile is None
         assert loaded.fingerprint() == model.fingerprint()
+
+
+class TestFitProfileFromSpans:
+    def test_traced_fit_profile_is_its_span_tree(self, table):
+        trace = obs.Trace(name="fit")
+        with obs.activate(trace):
+            model = fit_model(table, measure_bins=3)
+        (fit,) = trace.root.children
+        profile = model.fit_profile
+
+        def seconds(span):
+            return round(span.duration_s, 6)
+
+        def counts(phase):
+            return {
+                key: value for key, value in phase.items()
+                if key not in ("name", "seconds", "phases")
+            }
+
+        assert fit.name == "fit"
+        assert profile["total_seconds"] == seconds(fit)
+        assert (profile["rows"], profile["columns"]) == (
+            fit.tags["rows"], fit.tags["columns"]
+        )
+        assert [span.name for span in fit.children] == [
+            "discretize", "fd_detect", "fd_peel", "fci", "fd_orient"
+        ]
+        pairs = list(zip(profile["phases"], fit.children, strict=True))
+        (fci,) = [span for span in fit.children if span.name == "fci"]
+        pairs += zip(profile["phases"][3]["phases"], fci.children, strict=True)
+        for phase, span in pairs:
+            assert phase["name"] == span.name
+            assert phase["seconds"] == seconds(span)
+            assert counts(phase) == span.tags
+        depths = [span for span in fit.walk() if span.name == "skeleton.depth"]
+        assert profile["skeleton_depths"] == [
+            {**span.tags, "seconds": seconds(span)} for span in depths
+        ]
+        assert obs.current_trace() is None

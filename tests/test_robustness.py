@@ -17,6 +17,9 @@ import os
 import random
 import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -378,6 +381,55 @@ class TestProcessExecutorSelfHealing:
         finally:
             ours.close()
             peer.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # A parent that dies by SIGKILL runs no cleanup; its pool workers
+        # must notice on their own instead of living on as orphans.
+        script = tmp_path / "orphan.py"
+        script.write_text(textwrap.dedent("""
+            import os, signal
+            from repro.parallel import ProcessExecutor, ShardTask
+
+            class PidTask(ShardTask):
+                def run(self, state, payload):
+                    return os.getpid()
+
+            if __name__ == "__main__":
+                ex = ProcessExecutor(2)
+                ex.map(PidTask(), list(range(8)))
+                print(*ex._pool._processes, flush=True)
+                os.kill(os.getpid(), signal.SIGKILL)
+        """))
+
+        def running(pid):
+            # A zombie has exited; only its reaper has not collected it.
+            try:
+                stat_line = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return False
+            return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+        # Output goes to files, not pipes: a surviving worker would hold a
+        # pipe open and keep the read waiting.
+        out, err = tmp_path / "pids.txt", tmp_path / "stderr.txt"
+        src = str(Path(__file__).parent.parent / "src")
+        with out.open("w") as stdout, err.open("w") as stderr:
+            proc = subprocess.run(
+                [sys.executable, str(script)], stdout=stdout, stderr=stderr,
+                timeout=60, env={**os.environ, "PYTHONPATH": src},
+            )
+        pids = [int(pid) for pid in out.read_text().split()]
+        try:
+            assert proc.returncode == -signal.SIGKILL, err.read_text()
+            assert len(pids) == 2
+            deadline = time.monotonic() + 5
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(running, pids))
+        finally:
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_max_restarts_validated(self):
         with pytest.raises(ReproError, match="max_restarts"):

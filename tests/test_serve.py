@@ -199,6 +199,47 @@ class TestServiceBatching:
         assert service.stats.deduped == 14  # 17 requests over 3 queries
         assert seen == [1, 3]
 
+    def test_fallback_answers_in_process_without_a_new_pool(
+        self, model, table, query_variants, monkeypatch
+    ):
+        # After the service's executor fails, the retry runs on the
+        # in-process session: it must not fork a pool of REPRO_WORKERS.
+        from repro.parallel import executor as executor_mod
+
+        direct = ExplainSession(model, table).explain_batch(query_variants)
+        built: list[int] = []
+
+        def recording_make_executor(workers):
+            built.append(workers)
+            return executor_mod.SerialExecutor()
+
+        async def scenario():
+            service = ExplanationService(model, table, workers=1)
+            real_batch = service.session.explain_batch
+
+            def executor_fails(queries, *, executor=None, **kwargs):
+                if executor is not None:
+                    raise RuntimeError("executor lost")
+                return real_batch(queries, **kwargs)
+
+            service.session.explain_batch = executor_fails
+            monkeypatch.setenv("REPRO_WORKERS", "2")
+            monkeypatch.setattr(
+                executor_mod, "make_executor", recording_make_executor
+            )
+            async with service:
+                reports = await asyncio.gather(
+                    *[service.explain(q) for q in query_variants]
+                )
+            return service, reports
+
+        service, reports = run(scenario())
+        assert [report_to_dict(r) for r in reports] == [
+            report_to_dict(r) for r in direct
+        ]
+        assert service.retries == len(query_variants)
+        assert set(built) == {1}
+
     def test_max_batch_caps_flush_size(self, model, table, query_variants):
         queries = [query_variants[i % len(query_variants)] for i in range(20)]
 
