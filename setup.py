@@ -1,11 +1,25 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro`` (XInsight reproduction).
 
-The execution environment is offline and lacks the ``wheel`` package, so the
-PEP 517 editable-install path (which shells out to ``bdist_wheel``) fails.
-Keeping this shim lets ``pip install -e . --no-build-isolation`` use the
-legacy ``setup.py develop`` route.  All metadata lives in pyproject.toml.
+There is no ``pyproject.toml``: this file is the one place the metadata
+lives.  ``pip install -e . --no-build-isolation`` takes the legacy
+``setup.py develop`` route, which needs no ``wheel`` package.
+``install_requires`` names exactly what ``import repro`` needs; the test
+extras (pytest, hypothesis, pytest-benchmark) are installed by CI.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'__version__ = "([^"]+)"', INIT.read_text()).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

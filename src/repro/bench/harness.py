@@ -24,27 +24,21 @@ def time_call(fn: Callable[[], T]) -> tuple[T, float]:
     return result, time.perf_counter() - start
 
 
-def bench_env(workers: int = 1, executor: str = "serial") -> dict:
+def bench_env() -> dict:
     """The execution-environment stamp every ``BENCH_*.json`` entry carries.
 
     A trajectory number is meaningless without the parallelism it ran
-    under: the worker count, the executor kind, and how many CPUs the box
-    actually had (a 4-worker run on a 1-core container is serial in
-    disguise).
+    under: the worker count and executor kind (no harness asks for more
+    than one worker) and how many CPUs the box actually had.
     """
     return {
-        "workers": workers,
-        "executor": executor,
+        "workers": 1,
+        "executor": "serial",
         "cpu_count": os.cpu_count() or 1,
     }
 
 
-def append_trajectory(
-    path: str | Path,
-    entry: dict,
-    workers: int = 1,
-    executor: str = "serial",
-) -> dict:
+def append_trajectory(path: str | Path, entry: dict) -> dict:
     """Append one run to a ``BENCH_*.json`` trajectory (a JSON list).
 
     The shared writer for every benchmark harness: merges the
@@ -53,7 +47,7 @@ def append_trajectory(
     the entry as written.
     """
     path = Path(path)
-    stamped = {**bench_env(workers=workers, executor=executor), **entry}
+    stamped = {**bench_env(), **entry}
     history: list = []
     if path.exists():
         try:

@@ -29,10 +29,10 @@ alone takes the offline-phase flags ``--bins``, ``--alpha``,
 / ``explain-view`` serve queries against it (``--model`` is required),
 and ``serve`` boots the asyncio micro-batching server of
 :mod:`repro.serve` over one ``--model`` or a ``--registry`` (JSON-lines
-over TCP; drain with SIGINT/SIGTERM).  ``fit``,
+over TCP; drain with SIGINT/SIGTERM).
 ``batch-explain``, ``explain-view`` and ``serve`` accept ``--workers N``
-to shard discovery probing and query serving across N process workers
-(default: the ``REPRO_WORKERS`` env, else serial).  The
+to shard query serving across N process workers (default: the
+``REPRO_WORKERS`` env, else serial); ``fit`` runs in one process.  The
 batch query file is a JSON list of objects like
 ``{"s1": {"Location": "A"}, "s2": {"Location": "B"},
 "measure": "LungCancer", "agg": "AVG"}`` — the same spec one wire
@@ -78,7 +78,7 @@ from repro.data.table import Table
 from repro.errors import ReproError
 from repro.fd.graph import fd_graph_from_table
 from repro.graph.render import edge_list
-from repro.parallel import REPRO_WORKERS_ENV, executor_scope
+from repro.parallel import REPRO_WORKERS_ENV
 from repro.serve import (
     DEFAULT_HOST,
     DEFAULT_MAX_BATCH,
@@ -135,10 +135,10 @@ def _table_for(args: argparse.Namespace) -> Table:
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """Parallel-execution flag (see repro.parallel): the worker count."""
+    """Parallel-serving flag (see repro.parallel): the worker count."""
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="shard work across N process workers; 1 runs serial "
+        help="shard queries across N process workers; 1 runs serial "
         f"(default: the {REPRO_WORKERS_ENV} env, else serial)",
     )
 
@@ -234,15 +234,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     trace = obs.Trace(name="fit") if args.trace else None
     with obs.activate(trace):
-        with executor_scope(args.workers) as ex:
-            model = fit_model(
-                table,
-                executor=ex,
-                measure_bins=args.bins,
-                alpha=args.alpha,
-                max_depth=args.max_depth,
-                max_dsep_size=args.max_dsep_size,
-            )
+        model = fit_model(
+            table,
+            measure_bins=args.bins,
+            alpha=args.alpha,
+            max_depth=args.max_depth,
+            max_dsep_size=args.max_dsep_size,
+        )
     path = model.save(args.out)
     if trace is not None:
         trace.finish()
@@ -545,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_fit.add_argument("--max-depth", type=int, default=None)
     p_fit.add_argument("--max-dsep-size", type=int, default=DEFAULT_MAX_DSEP_SIZE)
-    _add_parallel_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_ins = sub.add_parser(

@@ -295,16 +295,9 @@ def fit_model(
     alpha: float = DEFAULT_ALPHA,
     max_depth: int | None = None,
     max_dsep_size: int | None = DEFAULT_MAX_DSEP_SIZE,
-    workers: int | None = None,
-    executor=None,
 ) -> XInsightModel:
     """Run the offline phase (discretize, detect FDs, XLearner) once and
     return the immutable, persistable :class:`XInsightModel`.
-
-    ``workers`` / ``executor`` parallelize the discovery stage's skeleton
-    probing (see :mod:`repro.parallel`); the fitted model is identical to
-    a serial fit, so parallel-fit artifacts are interchangeable with
-    serial ones.
 
     Raises :class:`~repro.errors.DiscoveryError` before any work when the
     knobs fail :func:`check_fit_knobs`.
@@ -334,8 +327,6 @@ def fit_model(
             alpha=alpha,
             max_depth=max_depth,
             max_dsep_size=max_dsep_size,
-            workers=workers,
-            executor=executor,
         )
     return XInsightModel(
         pag=learner.pag,

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.data.table import Table
-from repro.discovery.fci import FCIResult, default_ci_test, fci, warn_if_unsharded
+from repro.discovery.fci import FCIResult, default_ci_test, fci
 from repro.errors import DiscoveryError
 from repro.fd.graph import FDGraph, fd_graph_from_table
 from repro.graph.dag import depths
@@ -85,8 +85,6 @@ def xlearner(
     max_dsep_size: int | None = 3,
     fd_tolerance: float = 0.0,
     knowledge=None,
-    workers: int | None = None,
-    executor=None,
 ) -> XLearnerResult:
     """Learn the FD-augmented PAG of ``table`` (the offline phase of Fig. 3).
 
@@ -102,10 +100,6 @@ def xlearner(
         Optional :class:`~repro.discovery.knowledge.BackgroundKnowledge`
         applied to the final PAG (Sec. 5: combining discovery with domain
         knowledge).
-    workers / executor:
-        Parallel skeleton probing for the FCI stage (see
-        :func:`repro.discovery.fci.fci_from_table`); the learned PAG is
-        identical to a serial run.
     """
     if columns is None:
         columns = table.dimensions
@@ -131,23 +125,16 @@ def xlearner(
     peeled = {x for x, _ in s2_edges}
 
     # Stage 2: standard PAG learning over the faithfulness-compliant rest.
-    from repro.parallel import executor_scope
-
     fci_nodes = tuple(
         n for n in fd_graph.nodes if n not in peeled
     )
-    # The span holds the executor scope, so a pool's start and stop count
-    # towards the phase.
     with obs.span("fci") as sp:
-        with executor_scope(workers, executor) as ex:
-            warn_if_unsharded(ci_test, ex)
-            fci_result = fci(
-                fci_nodes,
-                ci_test,
-                max_depth=max_depth,
-                max_dsep_size=max_dsep_size,
-                executor=ex,
-            )
+        fci_result = fci(
+            fci_nodes,
+            ci_test,
+            max_depth=max_depth,
+            max_dsep_size=max_dsep_size,
+        )
         sp.tag(tests=fci_result.tests_run, variables=len(fci_nodes))
 
     # Stage 3: orient S2 along the FDs and concatenate (lines 13–17).

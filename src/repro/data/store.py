@@ -2,11 +2,10 @@
 
 The in-RAM :class:`Table` / :class:`~repro.independence.engine.EncodedDataset`
 pair is the right representation for a workstation-sized dataset, but it has
-two production failure modes the ``BENCH_parallel.json`` trajectory records:
+two production failure modes:
 
-* every :class:`~repro.parallel.ProcessExecutor` worker receives a *pickled
-  copy* of the full code arrays (the dominant share of the 0.48×-of-serial
-  process-worker result on a small box), and
+* every :class:`~repro.parallel.ProcessExecutor` serving worker receives a
+  *pickled copy* of the full column arrays, and
 * the dataset must fit in RAM at all, which caps the table sizes the
   north-star serving workload can reach.
 
@@ -16,9 +15,9 @@ persist each column as its own ``.npy`` file next to a small JSON manifest
 back.  Mapped arrays are
 
 * **zero-copy across processes** — every worker that opens the store shares
-  the same read-only OS page-cache mapping, so a store-backed
-  ``EncodedDataset`` pickles as *just the manifest path* (workers re-attach
-  instead of receiving arrays), and
+  the same read-only OS page-cache mapping, so a store-backed ``Table``
+  pickles as *just the manifest path* (serving workers re-attach instead of
+  receiving arrays), and
 * **larger than RAM** — pages stream in on demand, and the chunked
   contingency / workspace kernels touch the mapping one bounded slice at a
   time.

@@ -8,7 +8,6 @@ tests) and with statistical tests on data (benchmarks).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Sequence
@@ -97,7 +96,6 @@ def fci(
     max_dsep_size: int | None = 3,
     complete_rules: bool = True,
     use_possible_d_sep: bool = True,
-    executor=None,
 ) -> FCIResult:
     """Run FCI over ``nodes`` and return the PAG.
 
@@ -110,12 +108,6 @@ def fci(
         default 3 follows common practice to keep the phase tractable.
     complete_rules:
         Apply Zhang's full R1–R10 (True) or only R1–R4.
-    executor:
-        Optional :class:`repro.parallel.Executor` sharding the skeleton
-        phase's per-depth probe batches across workers (output identical
-        to serial; see :func:`~repro.discovery.skeleton.learn_skeleton`).
-        The Possible-D-SEP phase stays sequential but re-tests nothing a
-        sharded skeleton already probed when ``ci_test`` caches.
 
     The three phases run in ``skeleton``, ``possible_d_sep`` and
     ``orientation`` spans, the first two tagged with the CI tests they ran;
@@ -123,9 +115,7 @@ def fci(
     """
     start_calls = ci_test.calls
     with obs.span("skeleton") as sp:
-        skel: SkeletonResult = learn_skeleton(
-            nodes, ci_test, max_depth, executor=executor
-        )
+        skel: SkeletonResult = learn_skeleton(nodes, ci_test, max_depth)
         sp.tag(tests=skel.tests_run)
     graph = skel.graph
     sepsets = skel.sepsets
@@ -148,26 +138,6 @@ def fci(
     return FCIResult(graph, sepsets, ci_test.calls - start_calls)
 
 
-def warn_if_unsharded(ci_test: CITest, executor) -> None:
-    """Warn when a multi-worker request cannot engage.
-
-    Sharded probing rides on the batched skeleton strategy, which needs a
-    ``supports_batch`` CI test; with the sequential first-hit strategy an
-    explicit ``workers>1`` request would silently run serial otherwise.
-    """
-    if (
-        executor is not None
-        and executor.workers > 1
-        and not getattr(ci_test, "supports_batch", False)
-    ):
-        warnings.warn(
-            f"workers={executor.workers} ignored: {type(ci_test).__name__} has "
-            "no native batch support, so skeleton learning uses the sequential "
-            "strategy (use the vectorized engine for sharded probing)",
-            stacklevel=3,
-        )
-
-
 def default_ci_test(table, alpha: float = 0.05) -> CITest:
     """The default discovery CI test for a Table: cached χ² over the batched
     columnar engine of :mod:`repro.independence.engine`, which skeleton
@@ -183,29 +153,13 @@ def fci_from_table(
     ci_test_factory=None,
     alpha: float = 0.05,
     columns: Sequence[str] | None = None,
-    workers: int | None = None,
-    executor=None,
     **kwargs,
 ) -> FCIResult:
-    """Convenience entry point: FCI on a Table with a cached χ² test.
-
-    ``workers`` / ``executor`` select parallel skeleton probing: pass a
-    worker count (more than one means process workers; ``workers=None``
-    reads the ``REPRO_WORKERS`` env, falling back to serial) or a
-    ready-made :class:`repro.parallel.Executor`.  Discovery output is
-    identical to the serial path either way.  Sharding requires a
-    batch-capable test: with a factory whose test lacks
-    ``supports_batch`` an explicit multi-worker request warns and runs
-    serial.
-    """
-    from repro.parallel import executor_scope
-
+    """Convenience entry point: FCI on a Table with a cached χ² test."""
     if columns is None:
         columns = table.dimensions
     if ci_test_factory is None:
         ci_test = default_ci_test(table, alpha=alpha)
     else:
         ci_test = ci_test_factory(table)
-    with executor_scope(workers, executor) as ex:
-        warn_if_unsharded(ci_test, ex)
-        return fci(tuple(columns), ci_test, executor=ex, **kwargs)
+    return fci(tuple(columns), ci_test, **kwargs)

@@ -77,33 +77,26 @@ def pc_from_table(
     table,
     alpha: float = 0.05,
     columns: Sequence[str] | None = None,
-    workers: int | None = None,
-    executor=None,
     **kwargs,
 ) -> PCResult:
     """Convenience entry point: PC on a Table with a cached χ² test,
-    mirroring ``fci_from_table`` — including its ``workers``/``executor``
-    kwargs for sharded skeleton probing."""
-    from repro.discovery.fci import default_ci_test, warn_if_unsharded
-    from repro.parallel import executor_scope
+    mirroring ``fci_from_table``."""
+    from repro.discovery.fci import default_ci_test
 
     if columns is None:
         columns = table.dimensions
     ci_test = default_ci_test(table, alpha=alpha)
-    with executor_scope(workers, executor) as ex:
-        warn_if_unsharded(ci_test, ex)
-        return pc(tuple(columns), ci_test, executor=ex, **kwargs)
+    return pc(tuple(columns), ci_test, **kwargs)
 
 
 def pc(
     nodes: Sequence[Node],
     ci_test: CITest,
     max_depth: int | None = None,
-    executor=None,
 ) -> PCResult:
     """Run PC-stable and return a CPDAG."""
     start_calls = ci_test.calls
-    skel = learn_skeleton(nodes, ci_test, max_depth, executor=executor)
+    skel = learn_skeleton(nodes, ci_test, max_depth)
     graph = skel.graph
     orient_colliders(graph, skel.sepsets, as_cpdag=True)
     # Remaining circle marks denote undirected CPDAG edges: use tails.

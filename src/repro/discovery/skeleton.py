@@ -18,10 +18,6 @@ Probing comes in two flavors with identical output:
   are pure, evaluating probes past the first independence cannot change
   which edge is removed or which sepset is recorded — the skeleton and
   SepsetMap are byte-identical to the sequential path.
-
-The batched flavor optionally shards each depth's probe batch across the
-workers of a :class:`repro.parallel.Executor`; the replay argument above is
-what makes parallel discovery exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -134,7 +130,6 @@ def learn_skeleton(
     ci_test: CITest,
     max_depth: int | None = None,
     batch: bool | None = None,
-    executor=None,
 ) -> SkeletonResult:
     """FCI-SL lines 1–8 (Alg. 3): depth-wise edge removal.
 
@@ -148,14 +143,6 @@ def learn_skeleton(
     strategy.  Both strategies produce identical skeletons and sepsets
     (only ``tests_run`` can differ, since the batch path evaluates a pair's
     whole candidate list up front).
-
-    ``executor`` (a :class:`repro.parallel.Executor`) shards each depth's
-    probe batch across workers: the per-depth batch is split into balanced
-    contiguous shards, mapped over the executor, and the merged ``(x, y, Z)
-    → CITestResult`` verdicts are replayed in the sequential visit order —
-    so the skeleton and sepsets stay byte-identical to the serial path no
-    matter the worker count.  It only engages on the batched strategy;
-    the sequential strategy's first-hit early exit is inherently ordered.
 
     Each depth runs in a ``skeleton.depth`` span tagged with its counts
     (``pairs``, ``probes``, ``edges_removed``, ``tests``, plus
@@ -190,13 +177,7 @@ def learn_skeleton(
                     for x, y, subsets in visits
                     for subset in subsets
                 ]
-                if executor is None or executor.workers <= 1:
-                    # Keep the serial call positional-only: tests that
-                    # override ``test_batch`` without the executor kwarg
-                    # stay supported.
-                    results = ci_test.test_batch(probes)
-                else:
-                    results = ci_test.test_batch(probes, executor=executor)
+                results = ci_test.test_batch(probes)
                 verdicts = [r.independent(ci_test.alpha) for r in results]
                 offset = 0
                 for x, y, subsets in visits:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.data.table import Table
 from repro.errors import FDError
 from repro.fd.detect import FD, find_functional_dependencies
@@ -95,22 +93,33 @@ def build_fd_graph(
         if fd.lhs not in attributes or fd.rhs not in attributes:
             raise FDError(f"FD {fd} mentions an unknown attribute")
 
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(attributes)
-    digraph.add_edges_from((fd.lhs, fd.rhs) for fd in deps)
+    successors: dict[str, set[str]] = {attr: set() for attr in attributes}
+    for fd in deps:
+        successors[fd.lhs].add(fd.rhs)
+
+    def reachable(start: str) -> set[str]:
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in successors[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
 
     def rank(attr: str) -> tuple:
         card = cardinalities.get(attr, 0) if cardinalities else 0
         return (card, str(attr))
 
+    # Two attributes share a strongly-connected component exactly when each
+    # reaches the other along FD edges.
+    reach = {attr: reachable(attr) for attr in successors}
     representative: dict[str, str] = {}
     redundant: dict[str, str] = {}
-    for component in nx.strongly_connected_components(digraph):
-        rep = min(component, key=rank)
-        for member in component:
-            representative[member] = rep
-            if member != rep:
-                redundant[member] = rep
+    for attr, seen in reach.items():
+        rep = min((other for other in seen if attr in reach[other]), key=rank)
+        representative[attr] = rep
+        if attr != rep:
+            redundant[attr] = rep
 
     collapsed = MixedGraph(dict.fromkeys(representative[a] for a in attributes))
     kept_deps: list[FD] = []

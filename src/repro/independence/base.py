@@ -49,15 +49,9 @@ class CITest(abc.ABC):
         """Run the test and return the full result."""
 
     def test_batch(
-        self, probes: Iterable[tuple[Var, Var, Iterable[Var]]], executor=None
+        self, probes: Iterable[tuple[Var, Var, Iterable[Var]]]
     ) -> list["CITestResult"]:
-        """Evaluate many probes; the default simply loops :meth:`test`.
-
-        ``executor`` (a :class:`repro.parallel.Executor`) is accepted by
-        every implementation; tests without a native sharded path ignore it
-        — CI tests are pure, so serial evaluation of the same probe list is
-        always a valid (if slower) execution of the same batch.
-        """
+        """Evaluate many probes; the default simply loops :meth:`test`."""
         return [self.test(x, y, z) for x, y, z in probes]
 
     def independent(self, x: Var, y: Var, z: Iterable[Var] = ()) -> bool:

@@ -48,19 +48,11 @@ class CachedCITest(CITest):
         return result
 
     def test_batch(
-        self,
-        probes: Sequence[tuple[Var, Var, Iterable[Var]]],
-        executor=None,
+        self, probes: Sequence[tuple[Var, Var, Iterable[Var]]]
     ) -> list[CITestResult]:
         """Batch lookup: unseen canonical keys are deduplicated and sent to
         the inner test in one batch, then every probe is answered from the
-        cache (so ``(x, y | z)`` and ``(y, x | z)`` cost one inner test).
-
-        With an ``executor`` the inner batch is sharded across workers and
-        the merged verdicts populate this shared cache — a miss per unique
-        triple regardless of how many workers computed the shard, so the
-        post-parallel replay and the Possible-D-SEP phase are pure hits.
-        """
+        cache (so ``(x, y | z)`` and ``(y, x | z)`` cost one inner test)."""
         probes = [(x, y, tuple(z)) for x, y, z in probes]
         self.calls += len(probes)
         keys = [self.canonical_key(x, y, z) for x, y, z in probes]
@@ -70,12 +62,7 @@ class CachedCITest(CITest):
                 missing[key] = probe
         if missing:
             self.misses += len(missing)
-            if executor is None:
-                results = self.inner.test_batch(list(missing.values()))
-            else:
-                results = self.inner.test_batch(
-                    list(missing.values()), executor=executor
-                )
+            results = self.inner.test_batch(list(missing.values()))
             for key, result in zip(missing, results):
                 self._cache[key] = result
         return [self._cache[key] for key in keys]

@@ -117,43 +117,9 @@ class EncodedDataset:
         self.n_rows = lengths.pop() if lengths else 0
         # (sorted z names) -> (compressed stratum codes, n observed strata)
         self._strata_cache: dict[tuple[str, ...], tuple[np.ndarray, int]] = {}
-        self._store: "ColumnStore | None" = None
-        self._store_columns: frozenset[str] = frozenset()
         self._chunk_rows: int | None = None
         # (sorted z names) -> sorted observed mixed-radix stratum values
         self._observed_cache: dict[tuple[str, ...], np.ndarray] = {}
-
-    def __getstate__(self) -> dict:
-        """Pickle the codes, not the derived stratum caches: process workers
-        rebuild strata locally, keeping the payload one array per column.
-
-        Store-backed columns don't even ship their codes: the payload keeps
-        only the :class:`~repro.data.store.ColumnStore` (which pickles as
-        its directory path) and a placeholder per mapped column, and
-        ``__setstate__`` re-attaches to the shared read-only mapping — the
-        zero-copy process-worker path, O(manifest) bytes per worker."""
-        state = dict(self.__dict__)
-        state["_strata_cache"] = {}
-        state["_observed_cache"] = {}
-        if self._store_columns:
-            state["_codes"] = {
-                name: (None if name in self._store_columns else col)
-                for name, col in self._codes.items()
-            }
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._store_columns:
-            assert self._store is not None
-            self._codes = {
-                name: (
-                    self._store.load_column(name, mmap=True)
-                    if name in self._store_columns
-                    else col
-                )
-                for name, col in self._codes.items()
-            }
 
     # ------------------------------------------------------------------
     # Construction
@@ -164,8 +130,8 @@ class EncodedDataset:
         """Wrap the dimension columns of a :class:`Table` (codes are shared,
         not copied — the Table already stores dimensions factorized).  For a
         store-backed table whose requested columns all live in the store,
-        this delegates to :meth:`attach`, so the dataset keeps the zero-copy
-        pickle path and the table's chunking hint."""
+        this delegates to :meth:`attach`, so the dataset keeps the memmaps
+        and the table's chunking hint."""
         if columns is None:
             columns = table.dimensions
         store = table.store
@@ -185,9 +151,8 @@ class EncodedDataset:
     ) -> "EncodedDataset":
         """Attach to a :class:`~repro.data.store.ColumnStore`: every code
         vector is a read-only memmap over the store's files (no copy, no
-        re-validation scan — the store checked the codes when writing), the
-        dataset pickles as the manifest path, and ``chunk_rows`` turns on
-        the chunk-wise streaming kernels."""
+        re-validation scan — the store checked the codes when writing), and
+        ``chunk_rows`` turns on the chunk-wise streaming kernels."""
         if columns is None:
             columns = store.dimensions
         self = object.__new__(cls)
@@ -195,8 +160,6 @@ class EncodedDataset:
         self._categories = {name: store.categories(name) for name in columns}
         self.n_rows = store.n_rows
         self._strata_cache = {}
-        self._store = store
-        self._store_columns = frozenset(columns)
         self._chunk_rows = chunk_rows
         self._observed_cache = {}
         return self
@@ -498,44 +461,6 @@ def _sparse_stat(
     return float(per_stratum[valid].sum()), float(dof[valid].sum())
 
 
-class CIProbeShardTask:
-    """Picklable :class:`~repro.parallel.ShardTask` evaluating probe shards.
-
-    Ships the encoded dataset and test parameters to each worker exactly
-    once (``build_state`` reconstructs a private :class:`BatchCITester`
-    there); per-shard traffic is only ``(x, y, Z)`` name triples out and
-    :class:`~repro.independence.base.CITestResult` verdicts back.  Workers
-    run the same ``test_batch`` code as the serial path, so the merged
-    verdicts are byte-identical to an unsharded run.
-    """
-
-    def __init__(
-        self,
-        data: EncodedDataset,
-        alpha: float,
-        statistic_kind: str,
-        min_stratum_rows: int,
-        dense_limit: int,
-    ) -> None:
-        self.data = data
-        self.alpha = alpha
-        self.statistic_kind = statistic_kind
-        self.min_stratum_rows = min_stratum_rows
-        self.dense_limit = dense_limit
-
-    def build_state(self) -> "BatchCITester":
-        return BatchCITester(
-            self.data,
-            alpha=self.alpha,
-            min_stratum_rows=self.min_stratum_rows,
-            statistic_kind=self.statistic_kind,
-            dense_limit=self.dense_limit,
-        )
-
-    def run(self, state: "BatchCITester", probes) -> list[CITestResult]:
-        return state.test_batch(probes)
-
-
 class BatchCITester(CITest):
     """Vectorized contingency CI test with a native batch interface.
 
@@ -568,7 +493,6 @@ class BatchCITester(CITest):
         if self.statistic_kind not in ("chi2", "g"):
             raise ValueError(f"unknown statistic kind {self.statistic_kind!r}")
         self.dense_limit = dense_limit
-        self._shard_task: CIProbeShardTask | None = None
 
     def _stat_dof(self, x: str, y: str, z: tuple[str, ...]) -> tuple[float, float]:
         n_strata = self.data.n_strata(z)
@@ -587,32 +511,10 @@ class BatchCITester(CITest):
         p_value = float(stats.chi2.sf(statistic, dof)) if dof > 0 else 1.0
         return CITestResult(x, y, z, statistic, p_value, dof)
 
-    def shard_task(self) -> CIProbeShardTask:
-        """The picklable per-worker evaluator of this tester (cached, so a
-        long-lived process pool is reused across every depth's batch)."""
-        if self._shard_task is None:
-            self._shard_task = CIProbeShardTask(
-                self.data,
-                self.alpha,
-                self.statistic_kind,
-                self.min_stratum_rows,
-                self.dense_limit,
-            )
-        return self._shard_task
-
     def test_batch(
-        self,
-        probes: Sequence[tuple[Var, Var, Iterable[Var]]],
-        executor=None,
+        self, probes: Sequence[tuple[Var, Var, Iterable[Var]]]
     ) -> list[CITestResult]:
         probes = [(x, y, tuple(z)) for x, y, z in probes]
-        if executor is not None and executor.workers > 1 and len(probes) > 1:
-            from repro.parallel import split
-
-            self.calls += len(probes)
-            shards = split(probes, executor.workers)
-            merged = executor.map(self.shard_task(), shards)
-            return [result for chunk in merged for result in chunk]
         self.calls += len(probes)
         if not probes:
             return []

@@ -1,10 +1,10 @@
 """Parallel execution subsystem: serial/process executors + deterministic shards.
 
-Used by both phases of the pipeline: skeleton learning shards each
-PC-stable depth's CI-probe batch across workers, and the serving layer
-fans ``explain_batch`` query streams out over one shared model artifact.
-See :mod:`repro.parallel.executor` for how the worker count picks the
-executor and :mod:`repro.parallel.plan` for the determinism guarantees.
+Used by the online phase: the serving layer fans ``explain_batch`` query
+streams out over one shared model artifact (the offline fit runs in one
+process).  See :mod:`repro.parallel.executor` for how the worker count
+picks the executor and :mod:`repro.parallel.plan` for the determinism
+guarantees.
 """
 
 from repro.parallel.executor import (
@@ -17,7 +17,7 @@ from repro.parallel.executor import (
     executor_scope,
     make_executor,
 )
-from repro.parallel.plan import Shard, plan_shards, split
+from repro.parallel.plan import Shard, plan_shards
 
 __all__ = [
     "Executor",
@@ -30,5 +30,4 @@ __all__ = [
     "executor_scope",
     "make_executor",
     "plan_shards",
-    "split",
 ]

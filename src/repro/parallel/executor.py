@@ -4,8 +4,8 @@ The parallel subsystem runs *shard tasks* — small picklable objects obeying
 the :class:`ShardTask` protocol — over the shard payloads produced by
 :mod:`repro.parallel.plan`:
 
-* ``build_state()`` constructs the expensive per-worker state (an encoded
-  dataset, a serving session over a loaded model, ...) **once per worker**;
+* ``build_state()`` constructs the expensive per-worker state (a serving
+  session over a loaded model) **once per worker**;
 * ``run(state, payload)`` evaluates one shard against that state.
 
 Only the task (once, at pool start) and the compact shard payloads /
@@ -18,9 +18,11 @@ Executor choice in one line: the worker count picks it — one worker is
 :class:`SerialExecutor` (the reference), more is :class:`ProcessExecutor`.
 There is no thread pool: the CI and XPlainer kernels hold the GIL for most
 of their run, and on a 2-vCPU host threads lost to serial on skeleton
-learning and view serving and won a 200k-row fit by 9%.
-``REPRO_WORKERS`` sets the fleet-wide default worker count for every entry
-point that takes ``workers=None``.
+learning and view serving and won a 200k-row fit by 9%.  The offline fit
+takes no executor at all: on the same host two process workers lost to a
+serial 200k-row fit in 9 of 10 runs.
+``REPRO_WORKERS`` sets the fleet-wide default worker count for every
+serving entry point that takes ``workers=None``.
 """
 
 from __future__ import annotations
@@ -175,9 +177,8 @@ def _process_init(task: ShardTask) -> None:
 def _process_run(payload: Any) -> Any:
     assert _WORKER_TASK is not None, "worker used before initialization"
     # Fault-injection hook (chaos harness).  Gated on the raw env var so
-    # the unarmed path costs one dict lookup and never imports the serve
-    # package into discovery workers; the name must match
-    # ``repro.serve.faults.FAULTS_ENV`` (pinned by a test).
+    # the unarmed path costs one dict lookup and imports nothing; the name
+    # must match ``repro.serve.faults.FAULTS_ENV`` (pinned by a test).
     if os.environ.get("REPRO_FAULTS"):
         from repro.serve import faults
 
@@ -197,8 +198,8 @@ class ProcessExecutor(Executor):
     The pool initializer pickles the task a single time per worker and
     calls ``build_state`` there, so per-shard traffic is only the compact
     payload out and the verdicts back.  The pool (and its built state) is
-    reused across ``map`` calls with the same task — e.g. the one batch per
-    PC-stable depth — and transparently rebuilt when the task changes.
+    reused across ``map`` calls with the same task — e.g. every flush of one
+    serving session — and transparently rebuilt when the task changes.
 
     **Self-healing.**  A worker death (OOM kill, segfault, fault-injected
     ``os._exit``) breaks the whole :class:`ProcessPoolExecutor`; results

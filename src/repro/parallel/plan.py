@@ -1,16 +1,15 @@
 """Deterministic shard planning for the parallel execution subsystem.
 
-Both parallel phases — sharded skeleton probing and multi-worker batch
-serving — reduce to the same scheduling problem: split an ordered list of
-``n_items`` independent work items into at most ``max_shards`` contiguous,
-balanced slices.  Contiguity keeps the merge trivial (concatenate shard
-results in shard order and the original input order is restored) and
-balance keeps the slowest worker from dominating the wall clock.
+Multi-worker batch serving splits an ordered list of ``n_items``
+independent queries into at most ``max_shards`` contiguous, balanced
+slices.  Contiguity keeps the merge trivial (concatenate shard results in
+shard order and the original input order is restored) and balance keeps
+the slowest worker from dominating the wall clock.
 
-The plan is a pure function of ``(n_items, max_shards, min_shard_size)``:
-no randomness, no dependence on worker identity — so a parallel run visits
-exactly the items a serial run would, in a merge order that reproduces the
-serial order byte for byte.
+The plan is a pure function of ``(n_items, max_shards)``: no randomness,
+no dependence on worker identity — so a parallel run visits exactly the
+items a serial run would, in a merge order that reproduces the serial
+order byte for byte.
 """
 
 from __future__ import annotations
@@ -39,23 +38,17 @@ class Shard:
         return items[self.start : self.stop]
 
 
-def plan_shards(
-    n_items: int, max_shards: int, min_shard_size: int = 1
-) -> tuple[Shard, ...]:
+def plan_shards(n_items: int, max_shards: int) -> tuple[Shard, ...]:
     """Split ``n_items`` into ≤ ``max_shards`` balanced contiguous shards.
 
-    Every shard is non-empty, sizes differ by at most one, and shards of
-    ``min_shard_size`` or fewer items are merged into fewer shards (there
-    is no point paying a dispatch round-trip for a handful of items).
+    Every shard is non-empty and sizes differ by at most one.
     ``n_items == 0`` yields an empty plan.
     """
     if max_shards < 1:
         raise ReproError(f"max_shards must be ≥ 1, got {max_shards}")
-    if min_shard_size < 1:
-        raise ReproError(f"min_shard_size must be ≥ 1, got {min_shard_size}")
     if n_items <= 0:
         return ()
-    n_shards = min(max_shards, max(1, n_items // min_shard_size))
+    n_shards = min(max_shards, n_items)
     base, extra = divmod(n_items, n_shards)
     shards: list[Shard] = []
     start = 0
@@ -65,8 +58,3 @@ def plan_shards(
         start += size
     assert start == n_items
     return tuple(shards)
-
-
-def split(items: Sequence[T], max_shards: int, min_shard_size: int = 1) -> list[Sequence[T]]:
-    """Convenience: the sharded payloads themselves, in shard order."""
-    return [s.take(items) for s in plan_shards(len(items), max_shards, min_shard_size)]

@@ -214,7 +214,8 @@ class TestUnifiedDefaults:
     )
     def test_offline_flags_only_where_they_act(self, capsys, command):
         # The offline-phase knobs live on `fit`; `discover` keeps the two it
-        # runs with.  Serving commands take a fitted --model instead.
+        # runs with.  Serving commands take a fitted --model instead, and
+        # only they shard work across process workers.
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--help"])
         assert exit_info.value.code == 0
@@ -223,6 +224,9 @@ class TestUnifiedDefaults:
             assert (flag in text) == (command == "fit"), flag
         for flag in ("--alpha", "--max-depth"):
             assert (flag in text) == (command in ("fit", "discover")), flag
+        assert ("--workers" in text) == (
+            command in ("batch-explain", "explain-view", "serve")
+        )
 
 
 @pytest.fixture(scope="module")

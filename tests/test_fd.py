@@ -1,5 +1,10 @@
 """Tests for FD detection and the FD-induced graph (Ex. 2.4 CityInfo)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +108,18 @@ class TestFDGraph:
         g = build_fd_graph(("hi", "lo"), fds, {"hi": 10, "lo": 2})
         assert g.redundant == {"hi": "lo"}
 
+    def test_cycles_collapse_beside_a_chain(self):
+        # A three-cycle a→b→c→a feeding the chain c→d→g, plus a two-cycle e⇄f.
+        fds = [
+            FD("a", "b"), FD("b", "c"), FD("c", "a"), FD("c", "d"),
+            FD("e", "f"), FD("f", "e"), FD("d", "g"),
+        ]
+        cards = {"a": 3, "b": 2, "c": 2, "d": 5, "e": 4, "f": 4, "g": 1}
+        g = build_fd_graph("abcdefg", fds, cards)
+        assert g.redundant == {"a": "b", "c": "b", "f": "e"}
+        assert g.dependencies == (FD("b", "d"), FD("d", "g"))
+        assert g.nodes == ("b", "d", "e", "g")
+
     def test_unknown_attribute_rejected(self):
         with pytest.raises(FDError):
             build_fd_graph(("a",), [FD("a", "zzz")])
@@ -116,6 +133,19 @@ class TestFDGraph:
         g = build_fd_graph(("a", "b"), [])
         assert g.is_empty
         assert g.fd_nodes == ()
+
+
+def test_serving_and_cli_import_no_networkx():
+    """``import repro`` needs only numpy and scipy (setup.py's
+    ``install_requires``, CI's install line)."""
+    code = "import sys, repro.serve, repro.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @given(

@@ -5,21 +5,16 @@ Three layers of guarantees:
 * **Infrastructure** — the shard planner is balanced and deterministic,
   executors preserve shard order, build per-worker state exactly once per
   worker, and honor the ownership rules of ``executor_scope``.
-* **Parity** — sharded skeleton learning and sharded ``explain_batch``
-  over process workers, fanned out from the main thread or from a worker
-  thread (the service's flush-thread shape), are byte-identical to the
-  serial path on a
-  seeded ``random_graphs`` sweep: same graphs (``MixedGraph.__eq__``),
-  same sepsets (``SepsetMap.__eq__``), same explanation rankings.
-* **Cache seeding** — the regression for ISSUE 3's satellite: merged shard
-  verdicts populate the shared :class:`CachedCITest` cache with correct
-  hit/miss accounting, so post-parallel replay and Possible-D-SEP probing
-  never re-test a triple.
+* **Parity** — sharded ``explain_batch`` over process workers, fanned out
+  from the main thread or from a worker thread (the service's flush-thread
+  shape), gives the serial path's explanation rankings.
+* **One-process fit** — the offline fit takes no worker knob, ignores
+  ``REPRO_WORKERS`` and never builds a process pool.
 """
 
+import inspect
 import json
 import os
-import pickle
 import subprocess
 import sys
 import warnings
@@ -29,17 +24,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import GLOBAL_SEED
-from oracles import contingency as reference
 
 from repro.cli import main
-from repro.core import ExplainSession, fit_model
+from repro.core import ExplainSession, fit_model, xlearner
 from repro.data import Aggregate, WhyQuery, write_csv
 from repro.datasets import generate_lungcancer, generate_syn_b, serving_queries
 from repro.datasets.random_graphs import BayesNet, random_dag
-from repro.discovery import SepsetMap, fci_from_table, learn_skeleton
+from repro.discovery import (
+    SepsetMap,
+    fci,
+    fci_from_table,
+    learn_skeleton,
+    pc,
+    pc_from_table,
+)
 from repro.errors import ReproError
-from repro.independence import CachedCITest, ChiSquaredTest
-from repro.independence.engine import CIProbeShardTask, EncodedDataset
+from repro.independence import BatchCITester, CachedCITest, ChiSquaredTest, CITest
+from repro.independence.engine import EncodedDataset
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
@@ -96,15 +97,9 @@ class TestPlanShards:
         assert plan_shards(0, 4) == ()
         assert [len(s) for s in plan_shards(2, 8)] == [1, 1]
 
-    def test_min_shard_size_merges(self):
-        assert len(plan_shards(10, 8, min_shard_size=5)) == 2
-        assert len(plan_shards(3, 8, min_shard_size=5)) == 1
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ReproError):
             plan_shards(4, 0)
-        with pytest.raises(ReproError):
-            plan_shards(4, 2, min_shard_size=0)
 
     def test_take_slices_items(self):
         items = list(range(10))
@@ -205,33 +200,6 @@ class TestExecutors:
             assert default_workers() == 1
 
 
-class TestShardTaskPickling:
-    def test_encoded_dataset_pickles_without_strata_cache(self):
-        data = EncodedDataset.from_arrays(
-            {"a": [0, 1, 0, 1], "b": [1, 1, 0, 0], "c": [0, 0, 1, 1]}
-        )
-        data.strata(("a", "b"))
-        assert data._strata_cache
-        clone = pickle.loads(pickle.dumps(data))
-        assert clone._strata_cache == {}
-        assert clone.columns == data.columns
-        for name in data.columns:
-            np.testing.assert_array_equal(clone.codes(name), data.codes(name))
-            assert clone.categories(name) == data.categories(name)
-
-    def test_ci_probe_task_round_trips(self, small_chain_table):
-        tester = ChiSquaredTest(small_chain_table)
-        task = pickle.loads(pickle.dumps(tester.shard_task()))
-        state = task.build_state()
-        probes = [("X", "Y", ()), ("X", "Y", ("M",))]
-        restored = task.run(state, probes)
-        direct = tester.test_batch(probes)
-        assert [(r.statistic, r.p_value, r.dof) for r in restored] == [
-            (r.statistic, r.p_value, r.dof) for r in direct
-        ]
-        assert isinstance(task, CIProbeShardTask)
-
-
 # ----------------------------------------------------------------------
 # SepsetMap equality (satellite: whole-skeleton comparisons)
 # ----------------------------------------------------------------------
@@ -265,60 +233,6 @@ class TestSepsetMapEquality:
 
 
 class TestSkeletonParity:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_thread_sharded_skeleton_identical(self, seed, process_pair):
-        # A fit handed off to a worker thread fans out from that thread:
-        # the pool, rebuilt for the new task, starts its workers there and
-        # the verdicts come back to it rather than to the main thread.
-        table = discovery_table(seed)
-        serial = learn_skeleton(
-            table.dimensions, CachedCITest(ChiSquaredTest(table))
-        )
-        with ThreadPoolExecutor(max_workers=1) as thread:
-            sharded = thread.submit(
-                learn_skeleton,
-                table.dimensions,
-                CachedCITest(ChiSquaredTest(table)),
-                executor=process_pair,
-            ).result(timeout=120)
-        assert sharded.graph == serial.graph
-        assert sharded.sepsets == serial.sepsets
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_process_sharded_skeleton_identical(self, seed, process_pair):
-        table = discovery_table(seed)
-        serial = learn_skeleton(
-            table.dimensions, CachedCITest(ChiSquaredTest(table))
-        )
-        sharded = learn_skeleton(
-            table.dimensions,
-            CachedCITest(ChiSquaredTest(table)),
-            executor=process_pair,
-        )
-        assert sharded.graph == serial.graph
-        assert sharded.sepsets == serial.sepsets
-
-    def test_fci_workers_identical(self):
-        table = discovery_table(5, n_nodes=7)
-        serial = fci_from_table(table, max_depth=3)
-        sharded = fci_from_table(table, max_depth=3, workers=2, executor=None)
-        assert sharded.pag == serial.pag
-        assert sharded.sepsets == serial.sepsets
-
-    def test_unbatchable_test_warns_and_runs_serial(self):
-        # The per-stratum reference test has no batch support.
-        table = discovery_table(9)
-
-        def unbatched(t):
-            return CachedCITest(reference.ChiSquaredTest(t))
-
-        serial = fci_from_table(table, unbatched, max_depth=2)
-        with pytest.warns(UserWarning, match="no native batch support"):
-            unsharded = fci_from_table(
-                table, unbatched, max_depth=2, workers=2, executor=None,
-            )
-        assert unsharded.pag == serial.pag
-
     def test_serial_executor_is_default_path(self):
         table = discovery_table(6)
         plain = learn_skeleton(
@@ -421,56 +335,6 @@ class TestExplainBatchParity:
 
 
 # ----------------------------------------------------------------------
-# CachedCITest seeding from merged shard verdicts (regression)
-# ----------------------------------------------------------------------
-
-
-class TestCacheSeedingFromShards:
-    def test_parallel_replay_is_pure_hits(self, process_pair):
-        table = discovery_table(7)
-        ci_test = CachedCITest(ChiSquaredTest(table))
-        result = learn_skeleton(table.dimensions, ci_test, executor=process_pair)
-        misses_after_learning = ci_test.misses
-        # Re-probe every recorded separation (what Possible-D-SEP and the
-        # replay do): all hits, no new inner tests.
-        for pair, z in result.sepsets.items():
-            x, y = tuple(pair)
-            ci_test.test(x, y, z)
-            ci_test.test_batch([(y, x, tuple(z))])
-        assert ci_test.misses == misses_after_learning
-        assert ci_test.hits > 0
-
-    def test_miss_count_matches_serial(self, process_pair):
-        table = discovery_table(8)
-        serial_test = CachedCITest(ChiSquaredTest(table))
-        learn_skeleton(table.dimensions, serial_test)
-        sharded_test = CachedCITest(ChiSquaredTest(table))
-        learn_skeleton(table.dimensions, sharded_test, executor=process_pair)
-        # Same depth batches, same dedup: sharding changes who computes a
-        # verdict, never how many unique triples are computed.
-        assert sharded_test.misses == serial_test.misses
-        assert sharded_test.calls == serial_test.calls
-
-    def test_batch_hit_miss_accounting_with_executor(
-        self, small_chain_table, process_pair
-    ):
-        ci_test = CachedCITest(ChiSquaredTest(small_chain_table))
-        probes = [
-            ("X", "Y", ()),
-            ("Y", "X", ()),  # canonical duplicate: one inner test
-            ("X", "M", ("Y",)),
-            ("X", "Y", ()),
-        ]
-        ci_test.test_batch(probes, executor=process_pair)
-        assert ci_test.calls == 4
-        assert ci_test.misses == 2
-        assert ci_test.hits == 2
-        ci_test.test_batch(probes, executor=process_pair)
-        assert ci_test.misses == 2  # fully seeded: second pass is pure hits
-        assert ci_test.hits == 6
-
-
-# ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
 
@@ -483,25 +347,6 @@ def lung_csv(tmp_path_factory):
 
 
 class TestCLIParallel:
-    def test_fit_workers_model_identical(self, lung_csv, tmp_path):
-        serial_out = tmp_path / "serial.json"
-        sharded_out = tmp_path / "sharded.json"
-        assert main(["fit", lung_csv, "--out", str(serial_out)]) == 0
-        assert main(
-            ["fit", lung_csv, "--out", str(sharded_out), "--workers", "2"]
-        ) == 0
-        serial = json.loads(serial_out.read_text())
-        sharded = json.loads(sharded_out.read_text())
-        # The fit profile records wall-clock per phase, so it legitimately
-        # differs between runs; the learned content must not.
-        serial_profile = serial.pop("profile")
-        sharded_profile = sharded.pop("profile")
-        assert serial == sharded
-        assert serial["fingerprint"] == sharded["fingerprint"]
-        assert [p["name"] for p in serial_profile["phases"]] == [
-            p["name"] for p in sharded_profile["phases"]
-        ]
-
     def test_batch_explain_workers_same_output(self, lung_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         queries_path = tmp_path / "queries.json"
@@ -536,13 +381,6 @@ class TestCLIParallel:
                 )
             assert exit_info.value.code == 2
 
-    def test_fit_refuses_workers_below_one(self, lung_csv, tmp_path, capsys):
-        out = tmp_path / "m.json"
-        for bad in ("0", "-7"):
-            assert main(["fit", lung_csv, "--out", str(out), "--workers", bad]) == 2
-            assert "workers must be" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("shape", ["model", "registry"])
     def test_serve_refuses_workers_below_one(self, tmp_path, shape):
         model_dir = tmp_path / "registry" / "demo"
@@ -569,3 +407,55 @@ class TestCLIParallel:
         assert proc.returncode == 2, proc.stderr
         assert "workers must be" in proc.stderr
         assert "serving on" not in proc.stderr
+
+
+# ----------------------------------------------------------------------
+# The offline fit runs in one process
+# ----------------------------------------------------------------------
+
+
+class TestFitRunsInOneProcess:
+    @pytest.fixture
+    def no_pools(self, monkeypatch):
+        """``REPRO_WORKERS=2`` is set, and building a process pool fails."""
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the fit built a ProcessExecutor")
+
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setattr(ProcessExecutor, "__init__", refuse)
+
+    def test_fit_model_ignores_workers_env(self, no_pools, small_chain_table):
+        assert fit_model(small_chain_table).pag.n_nodes == 4
+
+    def test_cli_fit_ignores_workers_env(self, no_pools, lung_csv, tmp_path):
+        assert main(["fit", lung_csv, "--out", str(tmp_path / "m.json")]) == 0
+
+    def test_cli_fit_has_no_workers_flag(self, lung_csv, tmp_path):
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", lung_csv, "--out", str(out), "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("knob", ["workers", "executor"])
+    @pytest.mark.parametrize(
+        "entry",
+        [fit_model, xlearner, fci_from_table, pc_from_table],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_fit_entry_points_refuse_worker_knobs(
+        self, small_chain_table, entry, knob
+    ):
+        with pytest.raises(TypeError, match=knob):
+            entry(small_chain_table, **{knob: 2})
+
+    def test_no_worker_parameter_left_on_the_fit_path(self):
+        for fn in (
+            fci, pc, learn_skeleton,
+            CITest.test_batch, CachedCITest.test_batch, BatchCITester.test_batch,
+        ):
+            params = inspect.signature(fn).parameters
+            assert not {"workers", "executor"} & set(params), fn.__qualname__
+        # Nothing pickles an encoded dataset, so it pickles the default way.
+        assert not {"__getstate__", "__setstate__"} & set(vars(EncodedDataset))

@@ -289,9 +289,9 @@ class TestFaultPlan:
             FaultPlan.from_env()
 
     def test_env_var_name_matches_executor_hook(self):
-        """The executor's hot-path gate hard-codes the env var name (to
-        avoid importing repro.serve into discovery workers); pin the two
-        spellings together so neither can drift alone."""
+        """The executor's hot-path gate hard-codes the env var name (so
+        the unarmed path imports nothing); pin the two spellings together
+        so neither can drift alone."""
         from repro.parallel import executor as executor_mod
 
         assert faults.FAULTS_ENV == "REPRO_FAULTS"

@@ -1,11 +1,11 @@
 """Column-store tests: round-trip, zero-copy pickling, chunked-kernel parity.
 
-The contract under test is the PR-6 tentpole: a store-backed
-:class:`~repro.data.table.Table` / :class:`~repro.independence.engine.
-EncodedDataset` must be *observably identical* to its in-RAM twin — same
-skeleton, same sepsets, same explanation reports, byte-identical
-contingency cubes — while crossing a process boundary as O(manifest-path)
-bytes instead of O(n_rows) code arrays.
+The contract under test: a store-backed :class:`~repro.data.table.Table` /
+:class:`~repro.independence.engine.EncodedDataset` must be *observably
+identical* to its in-RAM twin — same skeleton, same sepsets, same
+explanation reports, byte-identical contingency cubes — while a
+store-backed ``Table`` crosses a process boundary as O(manifest-path)
+bytes instead of O(n_rows) column arrays.
 """
 
 import pickle
@@ -200,24 +200,6 @@ class TestZeroCopyPickle:
         assert back.schema == mapped_table.schema
         assert all(back.column(n).is_mapped for n in back.schema.columns)
 
-    def test_attached_dataset_pickle_is_manifest_sized(self, store, ram_table):
-        attached = EncodedDataset.attach(store)
-        in_ram = EncodedDataset.from_table(ram_table)
-        attached_payload = pickle.dumps(attached)
-        ram_payload = pickle.dumps(in_ram)
-        assert len(attached_payload) < 2048
-        assert len(attached_payload) * 100 < len(ram_payload)
-
-    def test_parent_and_worker_share_the_file(self, store):
-        """Unpickled codes are memmaps over the *same* column files."""
-        attached = EncodedDataset.attach(store)
-        clone = pickle.loads(pickle.dumps(attached))
-        for name in store.dimensions:
-            codes = clone.codes(name)
-            assert isinstance(codes, np.memmap)
-            assert str(codes.filename) == str(store.path / store._spec(name)["file"])
-            np.testing.assert_array_equal(codes, attached.codes(name))
-
     def test_store_backed_table_round_trips_through_pickle(self, store):
         table = Table.from_store(store.path, chunk_rows=1000)
         back = pickle.loads(pickle.dumps(table))
@@ -264,15 +246,6 @@ class TestChunkedKernelParity:
                 probes, ram_tester.test_batch(probes), chk_tester.test_batch(probes)
             ):
                 assert ram_v == chk_v, probe
-
-    def test_worker_copy_preserves_chunking(self, chunked):
-        # A process worker receives the dataset through pickle.
-        copy = pickle.loads(pickle.dumps(chunked))
-        assert copy.chunk_rows == chunked.chunk_rows
-        np.testing.assert_array_equal(
-            copy.contingency("A", "B", ("N",)),
-            chunked.contingency("A", "B", ("N",)),
-        )
 
 
 class TestEndToEndParity:
